@@ -128,51 +128,59 @@ Trend-analytics quick path (1.9+)::
     # `repro analytics report --out report.html`
 """
 
-from repro.analysis import AnalysisError, AnalysisReport, analyze
-from repro.area.model import PaperAreaModel
-from repro.area.stdcell import StdCellAreaModel
-from repro.codes.m_out_of_n import MOutOfNCode, maximal_code_for_width
-from repro.codes.parity import ParityCode
-from repro.core.latency import (
-    escape_probability,
-    pndc,
-    worst_escape_over_blocks,
-)
-from repro.core.mapping import (
-    IdentityMapping,
-    ModAMapping,
-    ParityMapping,
-    mapping_for_code,
-)
-from repro.core.safety import SafetyModel
-from repro.core.scheme import ReadResult, SelfCheckingMemory
-from repro.core.selection import (
-    CodeSelection,
-    SelectionPolicy,
-    select_code,
-    select_zero_latency_code,
-)
-from repro.core.tradeoff import TradeoffExplorer
-from repro.design import DesignEngine, DesignReport, DesignSpec
-from repro.memory.organization import (
-    PAPER_ORGS,
-    MemoryOrganization,
-    paper_org,
-)
-from repro.results import (
-    Provenance,
-    ResultSet,
-    ResultStore,
-)
-from repro.scenarios import (
-    CampaignEngine,
-    FaultScenario,
-    MemoryScenario,
-    StructuralScenario,
-    TransientScenario,
-    Workload,
-)
-from repro.service import CampaignService, ServiceClient
+# ``import repro`` loads this module and nothing else: every public name
+# below is imported on first access (PEP 562), so a command pays only
+# for the layers it uses.  Type checkers read the block under
+# TYPE_CHECKING (a plain constant, so that ``typing`` is not imported).
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Callable, Dict, List, Sequence, Tuple
+
+    from repro.analysis import AnalysisError, AnalysisReport, analyze
+    from repro.area.model import PaperAreaModel
+    from repro.area.stdcell import StdCellAreaModel
+    from repro.codes.m_out_of_n import MOutOfNCode, maximal_code_for_width
+    from repro.codes.parity import ParityCode
+    from repro.core.latency import (
+        escape_probability,
+        pndc,
+        worst_escape_over_blocks,
+    )
+    from repro.core.mapping import (
+        IdentityMapping,
+        ModAMapping,
+        ParityMapping,
+        mapping_for_code,
+    )
+    from repro.core.safety import SafetyModel
+    from repro.core.scheme import ReadResult, SelfCheckingMemory
+    from repro.core.selection import (
+        CodeSelection,
+        SelectionPolicy,
+        select_code,
+        select_zero_latency_code,
+    )
+    from repro.core.tradeoff import TradeoffExplorer
+    from repro.design.engine import DesignEngine
+    from repro.design.report import DesignReport
+    from repro.design.spec import DesignSpec
+    from repro.memory.organization import (
+        PAPER_ORGS,
+        MemoryOrganization,
+        paper_org,
+    )
+    from repro.results.resultset import Provenance, ResultSet
+    from repro.results.store import ResultStore
+    from repro.scenarios.engine import CampaignEngine
+    from repro.scenarios.faults import (
+        FaultScenario,
+        MemoryScenario,
+        StructuralScenario,
+        TransientScenario,
+    )
+    from repro.scenarios.workload import Workload
+    from repro.service.client import ServiceClient
+    from repro.service.service import CampaignService
 
 __version__ = "1.9.0"
 
@@ -219,3 +227,88 @@ __all__ = [
     "PaperAreaModel",
     "StdCellAreaModel",
 ]
+
+
+def _lazy(
+    namespace: "Dict[str, Any]", exports: "Dict[str, Sequence[str]]"
+) -> "Tuple[Callable[[str], object], Callable[[], List[str]]]":
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package namespace.
+
+    ``exports`` maps each module, relative to the package, to the names
+    it provides.  The first access to a name imports its module and
+    stores the value in ``namespace``, so later lookups (and anything
+    assigned over the name) never reach ``__getattr__``.  Every lazy
+    package of ``repro`` uses this one helper.
+    """
+    package = namespace["__name__"]
+    where = {
+        name: module for module, names in exports.items() for name in names
+    }
+
+    def __getattr__(name: str) -> object:
+        if name not in where:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        from importlib import import_module
+
+        value = getattr(import_module(where[name], package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> "List[str]":
+        return sorted(set(namespace) | set(where))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".analysis": ("AnalysisError", "AnalysisReport", "analyze"),
+        ".area.model": ("PaperAreaModel",),
+        ".area.stdcell": ("StdCellAreaModel",),
+        ".codes.m_out_of_n": ("MOutOfNCode", "maximal_code_for_width"),
+        ".codes.parity": ("ParityCode",),
+        ".core.latency": (
+            "escape_probability",
+            "pndc",
+            "worst_escape_over_blocks",
+        ),
+        ".core.mapping": (
+            "IdentityMapping",
+            "ModAMapping",
+            "ParityMapping",
+            "mapping_for_code",
+        ),
+        ".core.safety": ("SafetyModel",),
+        ".core.scheme": ("ReadResult", "SelfCheckingMemory"),
+        ".core.selection": (
+            "CodeSelection",
+            "SelectionPolicy",
+            "select_code",
+            "select_zero_latency_code",
+        ),
+        ".core.tradeoff": ("TradeoffExplorer",),
+        ".design.engine": ("DesignEngine",),
+        ".design.report": ("DesignReport",),
+        ".design.spec": ("DesignSpec",),
+        ".memory.organization": (
+            "PAPER_ORGS",
+            "MemoryOrganization",
+            "paper_org",
+        ),
+        ".results.resultset": ("Provenance", "ResultSet"),
+        ".results.store": ("ResultStore",),
+        ".scenarios.engine": ("CampaignEngine",),
+        ".scenarios.faults": (
+            "FaultScenario",
+            "MemoryScenario",
+            "StructuralScenario",
+            "TransientScenario",
+        ),
+        ".scenarios.workload": ("Workload",),
+        ".service.client": ("ServiceClient",),
+        ".service.service": ("CampaignService",),
+    },
+)

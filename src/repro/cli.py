@@ -20,13 +20,14 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro import __version__
-from repro.core.selection import SelectionPolicy, select_code
-from repro.design.engine import DesignEngine
+from repro.core.selection import SelectionPolicy
 from repro.design.spec import CHECKER_STYLES, DesignSpec
-from repro.memory.organization import PAPER_ORGS, MemoryOrganization, paper_org
+
+if TYPE_CHECKING:
+    from repro.memory.organization import MemoryOrganization
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
 
@@ -154,6 +155,8 @@ def _add_store_options(
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from repro.core.selection import select_code
+
     policy = SelectionPolicy(args.policy)
     selection = select_code(args.cycles, args.pndc, policy=policy)
     if args.json:
@@ -164,6 +167,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.design.engine import DesignEngine
+
     _validate_engine_args(args)
     spec = DesignSpec(
         words=args.words,
@@ -193,6 +198,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _parse_org(text: str) -> MemoryOrganization:
     """An organisation: a paper label ('16x2K') or 'WORDSxBITSxMUX'."""
+    from repro.memory.organization import (
+        PAPER_ORGS,
+        MemoryOrganization,
+        paper_org,
+    )
+
     try:
         return paper_org(text)
     except KeyError:
@@ -226,6 +237,9 @@ def _parse_org(text: str) -> MemoryOrganization:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.design.engine import DesignEngine
+    from repro.memory.organization import PAPER_ORGS
+
     organizations = args.org or list(PAPER_ORGS)
     requirements = [
         (c, pndc) for c in args.cycles for pndc in args.pndc
@@ -1153,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--empirical-cycles", type=int, default=256, metavar="CYCLES"
     )
-    from repro.scenarios import NAMED_WORKLOADS
+    from repro.scenarios.workload import NAMED_WORKLOADS
 
     report.add_argument(
         "--workload",

@@ -15,7 +15,7 @@ mod-a mapping of §III.1 needs: "let us associate, with each value
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.codes.base import BitVector, Code, validate_bits
 from repro.utils.combinatorics import binomial
@@ -47,6 +47,8 @@ class MOutOfNCode(Code):
         self.m = m
         self.n = n
         self.length = n
+        #: index -> code word, filled by :meth:`word_at`
+        self._words: Dict[int, BitVector] = {}
 
     def __repr__(self) -> str:
         return f"MOutOfNCode({self.m}-out-of-{self.n})"
@@ -76,21 +78,24 @@ class MOutOfNCode(Code):
         Positions of the 1s enumerate ``itertools.combinations(range(n), m)``
         in lexicographic order of the position tuples.  This ordering is
         stable, dense and cheap to invert, which is all the mod-a mapping
-        requires.
+        requires.  Words are memoized per instance: a decoder's ROM maps
+        every address onto a few code words.
 
         >>> MOutOfNCode(2, 4).word_at(0)
         (1, 1, 0, 0)
         >>> MOutOfNCode(2, 4).word_at(5)
         (0, 0, 1, 1)
         """
-        size = self.cardinality()
-        if not 0 <= index < size:
-            raise ValueError(f"index {index} out of range [0, {size})")
-        positions = self._unrank(index)
-        word = [0] * self.n
-        for pos in positions:
-            word[pos] = 1
-        return tuple(word)
+        word = self._words.get(index)
+        if word is None:
+            size = self.cardinality()
+            if not 0 <= index < size:
+                raise ValueError(f"index {index} out of range [0, {size})")
+            bits = [0] * self.n
+            for pos in self._unrank(index):
+                bits[pos] = 1
+            word = self._words[index] = tuple(bits)
+        return word
 
     def index_of(self, word: Sequence[int]) -> int:
         """Inverse of :meth:`word_at`.

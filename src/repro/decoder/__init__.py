@@ -1,15 +1,20 @@
 """Gate-level decoder trees (§III.2) and their analytic fault analysis."""
 
-from repro.decoder.analysis import (
-    DecoderAnalysis,
-    FaultSite,
-    analyze_decoder,
-    classify_fault_sites,
-    sa1_escape_closed_form,
-    sa1_escape_exhaustive,
-)
-from repro.decoder.flat import FlatDecoder
-from repro.decoder.tree import DecoderTree, DecodingBlock, build_decoder
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.decoder.analysis import (
+        DecoderAnalysis,
+        FaultSite,
+        analyze_decoder,
+        classify_fault_sites,
+        sa1_escape_closed_form,
+        sa1_escape_exhaustive,
+    )
+    from repro.decoder.flat import FlatDecoder
+    from repro.decoder.tree import DecoderTree, DecodingBlock, build_decoder
 
 __all__ = [
     "FlatDecoder",
@@ -23,3 +28,19 @@ __all__ = [
     "sa1_escape_closed_form",
     "sa1_escape_exhaustive",
 ]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".analysis": (
+            "DecoderAnalysis",
+            "FaultSite",
+            "analyze_decoder",
+            "classify_fault_sites",
+            "sa1_escape_closed_form",
+            "sa1_escape_exhaustive",
+        ),
+        ".flat": ("FlatDecoder",),
+        ".tree": ("DecoderTree", "DecodingBlock", "build_decoder"),
+    },
+)

@@ -17,28 +17,33 @@ Codes, checkers, address mappings and decoder styles plug in by name
 through :mod:`repro.design.registry` — no edits to the core scheme.
 """
 
-from repro.design.engine import DesignEngine
-from repro.design.registry import (
-    CHECKERS,
-    CODES,
-    DECODERS,
-    MAPPINGS,
-    Registry,
-    checker_for,
-    decoder_for,
-    mapping_for_code,
-    mapping_kind_for,
-    register_mapping_selector,
-    resolve_code,
-)
-from repro.design.report import (
-    AreaReport,
-    DecoderCheckReport,
-    DesignReport,
-    SafetyReport,
-    decoder_check_report,
-)
-from repro.design.spec import CHECKER_STYLES, DesignSpec
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.design.engine import DesignEngine
+    from repro.design.registry import (
+        CHECKERS,
+        CODES,
+        DECODERS,
+        MAPPINGS,
+        Registry,
+        checker_for,
+        decoder_for,
+        mapping_for_code,
+        mapping_kind_for,
+        register_mapping_selector,
+        resolve_code,
+    )
+    from repro.design.report import (
+        AreaReport,
+        DecoderCheckReport,
+        DesignReport,
+        SafetyReport,
+        decoder_check_report,
+    )
+    from repro.design.spec import CHECKER_STYLES, DesignSpec
 
 __all__ = [
     "DesignSpec",
@@ -61,3 +66,31 @@ __all__ = [
     "register_mapping_selector",
     "resolve_code",
 ]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".engine": ("DesignEngine",),
+        ".registry": (
+            "CHECKERS",
+            "CODES",
+            "DECODERS",
+            "MAPPINGS",
+            "Registry",
+            "checker_for",
+            "decoder_for",
+            "mapping_for_code",
+            "mapping_kind_for",
+            "register_mapping_selector",
+            "resolve_code",
+        ),
+        ".report": (
+            "AreaReport",
+            "DecoderCheckReport",
+            "DesignReport",
+            "SafetyReport",
+            "decoder_check_report",
+        ),
+        ".spec": ("CHECKER_STYLES", "DesignSpec"),
+    },
+)

@@ -11,38 +11,43 @@ is importable); or ``"serial"``, the per-cycle reference oracle both
 fast engines are proven bit-identical against.
 """
 
-from repro.faultsim.campaign import (
-    classify_structural_fault,
-    decoder_campaign,
-    default_scheme_writer,
-    scheme_campaign,
-)
-from repro.faultsim.fastsim import (
-    decoder_campaign_packed,
-    scheme_campaign_packed,
-)
-from repro.faultsim.injector import (
-    burst_addresses,
-    decoder_fault_list,
-    random_addresses,
-    rom_fault_list,
-    sample_faults,
-    sequential_addresses,
-)
-from repro.faultsim.results import CampaignResult, FaultRecord
-from repro.faultsim.transient import (
-    TransientResult,
-    TransientUpset,
-    scrubbed_stream,
-    transient_campaign,
-)
-from repro.faultsim.vectorsim import (
-    CAMPAIGN_ENGINES,
-    decoder_campaign_vector,
-    numpy_available,
-    resolve_engine,
-    scheme_campaign_vector,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.faultsim.campaign import (
+        classify_structural_fault,
+        decoder_campaign,
+        default_scheme_writer,
+        scheme_campaign,
+    )
+    from repro.faultsim.fastsim import (
+        decoder_campaign_packed,
+        scheme_campaign_packed,
+    )
+    from repro.faultsim.injector import (
+        burst_addresses,
+        decoder_fault_list,
+        random_addresses,
+        rom_fault_list,
+        sample_faults,
+        sequential_addresses,
+    )
+    from repro.faultsim.results import CampaignResult, FaultRecord
+    from repro.faultsim.transient import (
+        TransientResult,
+        TransientUpset,
+        scrubbed_stream,
+        transient_campaign,
+    )
+    from repro.faultsim.vectorsim import (
+        CAMPAIGN_ENGINES,
+        decoder_campaign_vector,
+        numpy_available,
+        resolve_engine,
+        scheme_campaign_vector,
+    )
 
 __all__ = [
     "TransientUpset",
@@ -69,3 +74,38 @@ __all__ = [
     "CampaignResult",
     "FaultRecord",
 ]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".campaign": (
+            "classify_structural_fault",
+            "decoder_campaign",
+            "default_scheme_writer",
+            "scheme_campaign",
+        ),
+        ".fastsim": ("decoder_campaign_packed", "scheme_campaign_packed"),
+        ".injector": (
+            "burst_addresses",
+            "decoder_fault_list",
+            "random_addresses",
+            "rom_fault_list",
+            "sample_faults",
+            "sequential_addresses",
+        ),
+        ".results": ("CampaignResult", "FaultRecord"),
+        ".transient": (
+            "TransientResult",
+            "TransientUpset",
+            "scrubbed_stream",
+            "transient_campaign",
+        ),
+        ".vectorsim": (
+            "CAMPAIGN_ENGINES",
+            "decoder_campaign_vector",
+            "numpy_available",
+            "resolve_engine",
+            "scheme_campaign_vector",
+        ),
+    },
+)

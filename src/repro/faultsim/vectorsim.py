@@ -25,17 +25,14 @@ NumPy is an *optional* dependency (``pip install repro[vector]``): this
 module imports without it, ``engine="vector"`` raises a one-line
 actionable error when it is missing, and ``engine="auto"`` resolves to
 ``"vector"`` when NumPy is importable and falls back to ``"packed"``
-otherwise.
+otherwise.  NumPy itself is imported on first use, so the packed and
+serial engines never pay for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # NumPy is the optional repro[vector] extra
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+import importlib.util
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkers.base import Checker
 from repro.checkers.berger_checker import BergerChecker
@@ -69,13 +66,43 @@ CAMPAIGN_ENGINES = ("packed", "serial", "vector", "auto")
 DEFAULT_WINDOW = 8192
 
 
+class _NumPyOnFirstUse:
+    """Stands in for ``np`` until NumPy is needed: the first attribute
+    read imports it (or raises the install hint) and rebinds ``np``.
+    Dunder probes (``inspect``, ``doctest``) load nothing."""
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__"):
+            raise AttributeError(name)
+        require_numpy()
+        return getattr(np, name)
+
+
+_DEFERRED = _NumPyOnFirstUse()
+
+#: the NumPy module once loaded; ``None`` when it is not installed
+np: Any = _DEFERRED
+
+
 def numpy_available() -> bool:
-    """True iff the optional NumPy dependency is importable."""
+    """True iff the optional NumPy dependency is importable (answered
+    without importing it)."""
+    if np is _DEFERRED:
+        return importlib.util.find_spec("numpy") is not None
     return np is not None
 
 
 def require_numpy() -> None:
-    """Raise the one-line actionable error when NumPy is missing."""
+    """Import NumPy on first use; raise the one-line actionable error
+    when it is missing."""
+    global np
+    if np is _DEFERRED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - the no-numpy CI job
+            np = None
+        else:
+            np = numpy
     if np is None:
         raise RuntimeError(
             "engine='vector' needs NumPy: pip install 'repro[vector]' "

@@ -17,26 +17,31 @@ compatibility view; ``CampaignResult.to_result_set()`` and
 ``ResultSet.to_campaign()`` convert both ways.
 """
 
-from repro.results.resultset import (
-    Provenance,
-    ResultDiff,
-    ResultRecord,
-    ResultSet,
-    ResultSetWriter,
-    fault_id,
-)
-from repro.results.store import (
-    ResultStore,
-    ResultStoreError,
-    StoreEntry,
-    StoreStats,
-    campaign_key,
-    canonical_json,
-    content_digest,
-    describe_target,
-    scenario_material,
-    workload_material,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.results.resultset import (
+        Provenance,
+        ResultDiff,
+        ResultRecord,
+        ResultSet,
+        ResultSetWriter,
+        fault_id,
+    )
+    from repro.results.store import (
+        ResultStore,
+        ResultStoreError,
+        StoreEntry,
+        StoreStats,
+        campaign_key,
+        canonical_json,
+        content_digest,
+        describe_target,
+        scenario_material,
+        workload_material,
+    )
 
 __all__ = [
     "Provenance",
@@ -56,3 +61,29 @@ __all__ = [
     "scenario_material",
     "workload_material",
 ]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".resultset": (
+            "Provenance",
+            "ResultDiff",
+            "ResultRecord",
+            "ResultSet",
+            "ResultSetWriter",
+            "fault_id",
+        ),
+        ".store": (
+            "ResultStore",
+            "ResultStoreError",
+            "StoreEntry",
+            "StoreStats",
+            "campaign_key",
+            "canonical_json",
+            "content_digest",
+            "describe_target",
+            "scenario_material",
+            "workload_material",
+        ),
+    },
+)

@@ -1,5 +1,17 @@
 """NOR/ROM matrix models for the decoder-checking scheme."""
 
-from repro.rom.nor_matrix import CheckedDecoder, NORMatrix
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.rom.nor_matrix import CheckedDecoder, NORMatrix
 
 __all__ = ["CheckedDecoder", "NORMatrix"]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".nor_matrix": ("CheckedDecoder", "NORMatrix"),
+    },
+)

@@ -17,31 +17,36 @@ The pre-1.3 helpers (``random_addresses``, ``scrubbed_stream``,
 over these types; see CHANGES.md for the migration table.
 """
 
-from repro.scenarios.engine import CampaignEngine
-from repro.scenarios.faults import (
-    FaultScenario,
-    MemoryScenario,
-    StructuralScenario,
-    TransientScenario,
-    as_scenarios,
-)
-from repro.scenarios.workload import (
-    NAMED_WORKLOADS,
-    Access,
-    BurstyWorkload,
-    ConcatWorkload,
-    ExplicitWorkload,
-    InterleavedWorkload,
-    MarchWorkload,
-    MixedWorkload,
-    ScrubbedWorkload,
-    SequentialWorkload,
-    UniformWorkload,
-    Workload,
-    as_workload,
-    named_workload,
-    workload_kinds,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.scenarios.engine import CampaignEngine
+    from repro.scenarios.faults import (
+        FaultScenario,
+        MemoryScenario,
+        StructuralScenario,
+        TransientScenario,
+        as_scenarios,
+    )
+    from repro.scenarios.workload import (
+        NAMED_WORKLOADS,
+        Access,
+        BurstyWorkload,
+        ConcatWorkload,
+        ExplicitWorkload,
+        InterleavedWorkload,
+        MarchWorkload,
+        MixedWorkload,
+        ScrubbedWorkload,
+        SequentialWorkload,
+        UniformWorkload,
+        Workload,
+        as_workload,
+        named_workload,
+        workload_kinds,
+    )
 
 __all__ = [
     "Access",
@@ -66,3 +71,34 @@ __all__ = [
     "as_scenarios",
     "CampaignEngine",
 ]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".engine": ("CampaignEngine",),
+        ".faults": (
+            "FaultScenario",
+            "MemoryScenario",
+            "StructuralScenario",
+            "TransientScenario",
+            "as_scenarios",
+        ),
+        ".workload": (
+            "NAMED_WORKLOADS",
+            "Access",
+            "BurstyWorkload",
+            "ConcatWorkload",
+            "ExplicitWorkload",
+            "InterleavedWorkload",
+            "MarchWorkload",
+            "MixedWorkload",
+            "ScrubbedWorkload",
+            "SequentialWorkload",
+            "UniformWorkload",
+            "Workload",
+            "as_workload",
+            "named_workload",
+            "workload_kinds",
+        ),
+    },
+)

@@ -40,18 +40,23 @@ CLI: ``repro serve`` / ``repro submit`` / ``repro jobs`` /
 ``repro fetch``.
 """
 
-from repro.service.client import ServiceAPI, ServiceClient, ServiceError
-from repro.service.fakes import InProcessClient
-from repro.service.handlers import Router, make_server, serving
-from repro.service.jobs import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    JobError,
-    JobQueue,
-    JobRecord,
-    JobStateError,
-)
-from repro.service.service import JOB_OPTIONS, CampaignService
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceAPI, ServiceClient, ServiceError
+    from repro.service.fakes import InProcessClient
+    from repro.service.handlers import Router, make_server, serving
+    from repro.service.jobs import (
+        JOB_STATES,
+        TERMINAL_STATES,
+        JobError,
+        JobQueue,
+        JobRecord,
+        JobStateError,
+    )
+    from repro.service.service import JOB_OPTIONS, CampaignService
 
 __all__ = [
     "JOB_STATES",
@@ -70,3 +75,21 @@ __all__ = [
     "ServiceError",
     "InProcessClient",
 ]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".client": ("ServiceAPI", "ServiceClient", "ServiceError"),
+        ".fakes": ("InProcessClient",),
+        ".handlers": ("Router", "make_server", "serving"),
+        ".jobs": (
+            "JOB_STATES",
+            "TERMINAL_STATES",
+            "JobError",
+            "JobQueue",
+            "JobRecord",
+            "JobStateError",
+        ),
+        ".service": ("JOB_OPTIONS", "CampaignService"),
+    },
+)

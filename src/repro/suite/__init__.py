@@ -26,21 +26,21 @@ Quick path::
 CLI: ``repro suite run|ls|show``.
 """
 
-from repro.suite.builtin import (
-    BUILTIN_SUITES,
-    builtin_names,
-    builtin_suite,
-    load_suite,
-)
-from repro.suite.populations import POPULATIONS, build_population
-from repro.suite.report import CellOutcome, SuiteReport
-from repro.suite.runner import SuiteRunner, execute_cell
-from repro.suite.spec import (
-    FAMILIES,
-    CampaignCell,
-    MatrixBlock,
-    SuiteSpec,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.suite.builtin import (
+        BUILTIN_SUITES,
+        builtin_names,
+        builtin_suite,
+        load_suite,
+    )
+    from repro.suite.populations import POPULATIONS, build_population
+    from repro.suite.report import CellOutcome, SuiteReport
+    from repro.suite.runner import SuiteRunner, execute_cell
+    from repro.suite.spec import FAMILIES, CampaignCell, MatrixBlock, SuiteSpec
 
 __all__ = [
     "FAMILIES",
@@ -58,3 +58,19 @@ __all__ = [
     "builtin_suite",
     "load_suite",
 ]
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".builtin": (
+            "BUILTIN_SUITES",
+            "builtin_names",
+            "builtin_suite",
+            "load_suite",
+        ),
+        ".populations": ("POPULATIONS", "build_population"),
+        ".report": ("CellOutcome", "SuiteReport"),
+        ".runner": ("SuiteRunner", "execute_cell"),
+        ".spec": ("FAMILIES", "CampaignCell", "MatrixBlock", "SuiteSpec"),
+    },
+)

@@ -71,6 +71,24 @@ class TestIndexing:
         assert code.word_at(0) == (1, 1, 0, 0)
         assert code.word_at(5) == (0, 0, 1, 1)
 
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 4), (3, 5), (4, 7), (5, 9)])
+    def test_memoized_words_match_unrank(self, m, n):
+        code = MOutOfNCode(m, n)
+
+        def unranked(index):
+            positions = code._unrank(index)
+            return tuple(int(i in positions) for i in range(n))
+
+        for _ in range(2):  # the second pass is served from the cache
+            for index in reversed(range(code.cardinality())):
+                assert code.word_at(index) == unranked(index)
+        assert code.word_at(0) is code.word_at(0)
+        assert len(code._words) == code.cardinality()
+        with pytest.raises(ValueError):
+            code.word_at(code.cardinality())
+        with pytest.raises(ValueError):
+            code.word_at(-1)
+
 
 class TestUnorderedProperties:
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (2, 4), (3, 5), (4, 7)])
