@@ -15,6 +15,19 @@ bit-parallel netlist traversal over the entire address stream
   popcount for m-out-of-n/Berger weight, XOR-fold for parity/two-rail);
   first zero bit = first cycle the observer flags a non-code word.
 
+A fault's cost follows its cone, not the circuit's width.  The cone
+walk reports the nets whose word left golden, and ``err`` is built from
+the changed line nets only — exact because the stream checks once that
+every fault-free line equals its golden one-hot word (otherwise it
+compares all ``2^n`` lines).  Wide OR/NOR/AND/NAND gates (fan-in >=
+:data:`WIDE_FANIN`, the ROM columns) are updated from their changed
+inputs: with ``old``/``new`` the OR of the changed inputs' golden/faulty
+controlling lanes, the output's controlling lanes become
+``(golden & ~old) | new``.  That is exact unless some lane of ``old``
+also had a second controlling input, which is checked against a
+precomputed ``twos`` word; such a gate, or one with a pin fault, is
+re-evaluated in full.
+
 Layered on top of the packed traversals:
 
 * structural fault collapsing (:mod:`repro.circuits.equivalence`) is
@@ -44,11 +57,12 @@ from __future__ import annotations
 
 from concurrent import futures
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.checkers.base import Checker
 from repro.circuits.equivalence import collapse_faults
 from repro.circuits.faults import FaultBase, NetStuckAt, PinStuckAt
+from repro.circuits.gates import GateType
 from repro.circuits.parallel import (
     first_set_lane,
     pack_addresses,
@@ -65,6 +79,13 @@ __all__ = [
 ]
 
 
+#: Fan-in from which OR/NOR/AND/NAND gates are updated incrementally
+#: from their changed inputs instead of re-reading every input word.
+WIDE_FANIN = 8
+
+_WIDE_TYPES = (GateType.OR, GateType.NOR, GateType.AND, GateType.NAND)
+
+
 class _PackedCircuit:
     """Incremental single-fault packed evaluator over one stimulus set.
 
@@ -76,12 +97,18 @@ class _PackedCircuit:
     For the paper's decoder trees the average cone is a small fraction
     of the circuit, which is where most of the packed engine's speedup
     over :func:`evaluate_packed`-per-fault comes from.
+
+    Wide OR/NOR/AND/NAND gates (fan-in >= :data:`WIDE_FANIN`, the ROM
+    columns) keep ``(flip_in, flip_out, ones, twos)``: in the
+    *controlling* domain (inputs XOR ``flip_in``, so 1 controls) ``ones``
+    is the golden OR and ``twos`` the lanes where at least two pins
+    control.  A walk updates such a gate from its changed inputs alone.
     """
 
     def __init__(self, circuit, packed_inputs: Sequence[int], num_lanes: int):
         self.circuit = circuit
         self.num_lanes = num_lanes
-        self.mask = (1 << num_lanes) - 1
+        mask = self.mask = (1 << num_lanes) - 1
         self.readers: List[List[int]] = [[] for _ in range(circuit.num_nets)]
         for gate in circuit.gates:
             for src in set(gate.inputs):
@@ -93,6 +120,18 @@ class _PackedCircuit:
         for gate in circuit.gates:
             values[gate.output] = self._gate_word(gate, values)
         self.golden_values = values
+        self.wide: Dict[int, Tuple[int, int, int, int]] = {}
+        for gate in circuit.gates:
+            kind = gate.gate_type
+            if kind in _WIDE_TYPES and len(gate.inputs) >= WIDE_FANIN:
+                flip_in = mask if kind in (GateType.AND, GateType.NAND) else 0
+                flip_out = mask if kind in (GateType.AND, GateType.NOR) else 0
+                ones = twos = 0
+                for src in gate.inputs:
+                    word = values[src] ^ flip_in
+                    twos |= ones & word
+                    ones |= word
+                self.wide[gate.index] = (flip_in, flip_out, ones, twos)
 
     def _gate_word(self, gate, values, pin_forced=None) -> int:
         """One gate's packed output word (identical per-lane semantics
@@ -106,24 +145,55 @@ class _PackedCircuit:
             ]
         return packed_gate_word(gate.gate_type, ins, self.mask)
 
+    def _wide_word(self, gate, values, changes: List[int]) -> int:
+        """A wide gate's output word from its changed input nets alone;
+        re-evaluated in full when a lane of a changed input's golden
+        controlling value had a second controlling input."""
+        flip_in, flip_out, ones, twos = self.wide[gate.index]
+        golden = self.golden_values
+        old = new = 0
+        for net in changes:
+            old |= golden[net] ^ flip_in
+            new |= values[net] ^ flip_in
+        if twos & old:
+            return self._gate_word(gate, values)
+        return ((ones & ~old) | new) ^ flip_out
+
     def values_with_fault(self, fault: FaultBase) -> List[int]:
         """All net lane-words under one fault (cone re-evaluation)."""
+        return self.walk(fault)[0]
+
+    def walk(self, fault: FaultBase) -> Tuple[List[int], List[int]]:
+        """(all net lane-words, nets whose word left golden) under one
+        fault — the cone walk behind :meth:`values_with_fault`."""
         mask = self.mask
         values = self.golden_values[:]
+        changed: List[int] = []
         net_faults: Dict[int, int] = {}
         pin_faults: Dict[Tuple[int, int], int] = {}
         fault.register(net_faults, pin_faults)
 
         heap: List[int] = []
-        queued = set()
+        queued: Set[int] = set()
+        readers = self.readers
+        wide = self.wide
+        # changed input nets of each queued wide gate
+        wide_changes: Dict[int, List[int]] = {}
+
+        def mark(net: int, word: int) -> None:
+            values[net] = word
+            changed.append(net)
+            for reader in readers[net]:
+                if reader in wide:
+                    wide_changes.setdefault(reader, []).append(net)
+                if reader not in queued:
+                    queued.add(reader)
+                    heappush(heap, reader)
+
         for net, forced in net_faults.items():
             word = mask if forced else 0
             if values[net] != word:
-                values[net] = word
-                for reader in self.readers[net]:
-                    if reader not in queued:
-                        queued.add(reader)
-                        heappush(heap, reader)
+                mark(net, word)
         forced_by_gate: Dict[int, Dict[int, int]] = {}
         for (gate_index, pin), forced in pin_faults.items():
             forced_by_gate.setdefault(gate_index, {})[pin] = (
@@ -134,22 +204,20 @@ class _PackedCircuit:
                 heappush(heap, gate_index)
 
         gates = self.circuit.gates
-        readers = self.readers
         while heap:
-            gate = gates[heappop(heap)]
+            index = heappop(heap)
+            gate = gates[index]
             output = gate.output
             if output in net_faults:
                 continue  # output stays forced regardless of inputs
-            word = self._gate_word(
-                gate, values, forced_by_gate.get(gate.index)
-            )
+            pins = forced_by_gate.get(index)
+            if pins is None and index in wide_changes:
+                word = self._wide_word(gate, values, wide_changes[index])
+            else:
+                word = self._gate_word(gate, values, pins)
             if word != values[output]:
-                values[output] = word
-                for reader in readers[output]:
-                    if reader not in queued:
-                        queued.add(reader)
-                        heappush(heap, reader)
-        return values
+                mark(output, word)
+        return values, changed
 
 
 class PackedStream:
@@ -177,6 +245,16 @@ class PackedStream:
         self.sim = _PackedCircuit(
             checked.circuit, self.packed_inputs, self.num_lanes
         )
+        # line net -> golden line word, for observing only the nets a
+        # fault changed; exact only when every fault-free line already
+        # matches its golden word (else None: compare every line)
+        values = self.sim.golden_values
+        mismatch = 0
+        for net, word in zip(self.line_nets, golden):
+            mismatch |= values[net] ^ word
+        self.line_golden = (
+            None if mismatch else dict(zip(self.line_nets, golden))
+        )
 
     def observe_fault(
         self, fault: FaultBase, checker: Checker
@@ -184,10 +262,16 @@ class PackedStream:
         """(err_word, acc_word) under one fault — the packed campaign
         observables: lanes with a wrong selected-line vector, and lanes
         whose ROM word the checker accepts."""
-        values = self.sim.values_with_fault(fault)
+        values, changed = self.sim.walk(fault)
         err = 0
-        for net, golden in zip(self.line_nets, self.golden_line_words):
-            err |= values[net] ^ golden
+        if self.line_golden is None:
+            for net, golden in zip(self.line_nets, self.golden_line_words):
+                err |= values[net] ^ golden
+        else:
+            for net in changed:
+                word = self.line_golden.get(net)
+                if word is not None:
+                    err |= values[net] ^ word
         acc = checker.accepts_packed(
             [values[net] for net in self.rom_nets], self.num_lanes
         )

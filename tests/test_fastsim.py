@@ -1,8 +1,10 @@
 """Packed campaign engine vs the serial oracle: record-level bit-identity,
 plus the incremental packed evaluator against evaluate_packed."""
 
+import copy
 import itertools
 import random
+import types
 
 import pytest
 
@@ -27,7 +29,8 @@ from repro.core.mapping import mapping_for_code
 from repro.core.scheme import SelfCheckingMemory
 from repro.core.selection import select_code
 from repro.faultsim.campaign import decoder_campaign, scheme_campaign
-from repro.faultsim.fastsim import PackedStream, _PackedCircuit
+from repro.faultsim import fastsim
+from repro.faultsim.fastsim import WIDE_FANIN, PackedStream, _PackedCircuit
 from repro.faultsim.injector import (
     burst_addresses,
     decoder_fault_list,
@@ -124,6 +127,124 @@ class TestPackedCircuit:
             got = [values[net] for net in circuit.output_nets]
             assert got == expected, fault
 
+    WIDE_TYPES = (GateType.OR, GateType.NOR, GateType.AND, GateType.NAND)
+
+    @classmethod
+    def wide_circuit(cls, seed, inputs=8, pairs=32, wide=12):
+        """Random netlist whose OR/NOR/AND/NAND gates have fan-in 8-40,
+        every net marked as an output.
+
+        Under one-hot stimuli the ``sparse`` nets (inputs, ANDed input
+        pairs) hold at most one 1 per lane and their ``dense``
+        complements at most one 0, so OR-type gates over the former and
+        AND-type gates over the latter can be updated incrementally;
+        repeated pins and cascaded wide outputs make two inputs control
+        one lane and force the full re-evaluation.
+        """
+        rng = random.Random(seed)
+        c = Circuit(f"wide{seed}")
+        sparse = list(c.add_inputs([f"x{i}" for i in range(inputs)]))
+        for _ in range(pairs):
+            pair = tuple(rng.sample(sparse[:inputs], 2))
+            sparse.append(c.add_gate(GateType.AND, pair))
+        dense = [c.add_gate(GateType.NOT, (net,)) for net in sparse]
+        outs = []
+        for _ in range(wide):
+            gate_type = rng.choice(cls.WIDE_TYPES)
+            or_type = gate_type in (GateType.OR, GateType.NOR)
+            fan_in = rng.randint(WIDE_FANIN, 40)
+            dups = rng.randint(0, 3)
+            ins = rng.sample(sparse if or_type else dense, fan_in - dups)
+            if outs and rng.random() < 0.5:
+                ins[0] = rng.choice(outs)
+            ins += [rng.choice(ins) for _ in range(dups)]
+            rng.shuffle(ins)
+            outs.append(c.add_gate(gate_type, tuple(ins)))
+        for net in range(c.num_nets):
+            c.mark_output(net)
+        return c
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_gates_match_evaluate_packed(self, seed, monkeypatch):
+        circuit = self.wide_circuit(seed)
+        n_in = len(circuit.input_nets)
+        rng = random.Random(200 + seed)
+        hots = [rng.randrange(n_in) for _ in range(40)]
+        one_hot = [tuple(int(i == hot) for i in range(n_in)) for hot in hots]
+        noise = [
+            tuple(rng.randint(0, 1) for _ in range(n_in)) for _ in range(40)
+        ]
+        wide_gates = [
+            g for g in circuit.gates
+            if g.gate_type in self.WIDE_TYPES and len(g.inputs) >= WIDE_FANIN
+        ]
+        faults = enumerate_stuck_at_faults(
+            circuit, include_inputs=True, include_pins=True
+        )
+        calls = []
+        real = fastsim.packed_gate_word
+
+        def counting(gate_type, ins, mask):
+            calls.append(len(ins))
+            return real(gate_type, ins, mask)
+
+        monkeypatch.setattr(fastsim, "packed_gate_word", counting)
+        visits = fallbacks = 0
+        for stimuli in (one_hot, noise):
+            packed, lanes = pack_stimuli(stimuli)
+            sim = _PackedCircuit(circuit, packed, lanes)
+            golden = sim.golden_values
+            for fault in faults:
+                expected = evaluate_packed(
+                    circuit, packed, lanes, faults=(fault,)
+                )
+                assert sim.values_with_fault(fault) == expected, fault
+                del calls[:]
+                values, changed = sim.walk(fault)
+                assert values == expected, fault
+                diff = {
+                    net for net, word in enumerate(values)
+                    if word != golden[net]
+                }
+                assert diff <= set(changed), fault
+                if isinstance(fault, NetStuckAt):
+                    # wide gates the walk must update vs full re-reads
+                    visits += sum(
+                        1 for g in wide_gates
+                        if g.output != fault.net and diff & set(g.inputs)
+                    )
+                    fallbacks += sum(1 for n in calls if n >= WIDE_FANIN)
+        # both the incremental update and the `twos` fallback ran
+        assert 0 < fallbacks < visits
+
+    @pytest.mark.parametrize("miswired", [False, True])
+    def test_observe_fault_matches_full_line_compare(
+        self, checked4, checker35, miswired
+    ):
+        """Sparse observation equals the compare over every line; a
+        decoder whose fault-free lines miss golden_line_words (two lines
+        swapped) must take the full compare."""
+        checked = checked4
+        if miswired:
+            circuit = copy.copy(checked4.circuit)
+            circuit._output_nets = list(circuit.output_nets)
+            nets = circuit._output_nets
+            nets[0], nets[1] = nets[1], nets[0]
+            checked = types.SimpleNamespace(n=checked4.n, circuit=circuit)
+        stream = PackedStream(checked, _uniform_addresses(4, 40, seed=3))
+        assert (stream.line_golden is None) is miswired
+        faults = enumerate_stuck_at_faults(
+            checked.circuit, include_inputs=True, include_pins=True
+        )
+        for fault in faults:
+            values = stream.sim.values_with_fault(fault)
+            err = 0
+            for net, golden in zip(
+                stream.line_nets, stream.golden_line_words
+            ):
+                err |= values[net] ^ golden
+            assert stream.observe_fault(fault, checker35)[0] == err, fault
+
     def test_golden_pass_matches_evaluate_packed(self, checked4):
         addresses = _uniform_addresses(4, 40, seed=9)
         stream = PackedStream(checked4, addresses)
@@ -135,6 +256,76 @@ class TestPackedCircuit:
             for net in checked4.circuit.output_nets
         ]
         assert got == expected
+
+
+@pytest.fixture(scope="module")
+def paper_decoder_cells():
+    """The ``paper_grid`` decoder cells, built as the suite runner builds
+    them: (words, checked decoder, checker, fault population, stream)."""
+    from repro.design.engine import DesignEngine
+    from repro.design.registry import checker_for
+    from repro.design.spec import DesignSpec
+    from repro.scenarios import named_workload
+    from repro.suite import builtin_suite
+
+    cells = []
+    for cell in builtin_suite("paper_grid").cells():
+        if cell.family != "decoder":
+            continue
+        spec = DesignSpec.from_dict(cell.target)
+        mapping = DesignEngine().plan(spec).row_mapping()
+        checked = CheckedDecoder(mapping)
+        workload = cell.workload
+        addresses = named_workload(
+            workload["family"],
+            1 << spec.organization.p,
+            workload["cycles"],
+            seed=workload["seed"],
+        ).address_list()
+        cells.append(
+            (
+                spec.organization.words,
+                checked,
+                checker_for(mapping, structural=spec.structural_checkers),
+                decoder_fault_list(checked),
+                addresses,
+            )
+        )
+    assert [cell[0] for cell in cells] == [2048, 4096, 8192]
+    return cells
+
+
+class TestPaperScale:
+    """Bit-identity on the paper's decoder cells, where the ROM column
+    gates are wide enough for the incremental update."""
+
+    @pytest.mark.parametrize("chunk", [None, 50])
+    def test_packed_matches_vector(self, paper_decoder_cells, chunk):
+        pytest.importorskip("numpy")
+        for _, checked, checker, faults, addresses in paper_decoder_cells:
+            runs = [
+                decoder_campaign(
+                    checked, checker, faults, addresses,
+                    attach_analytic=False, engine=engine, chunk=chunk,
+                )
+                for engine in ("packed", "vector")
+            ]
+            assert record_key(runs[0]) == record_key(runs[1])
+
+    def test_packed_matches_serial_on_every_8th_fault(
+        self, paper_decoder_cells
+    ):
+        words, checked, checker, faults, addresses = paper_decoder_cells[0]
+        assert words == 2048 and len(addresses) == 192
+        sample = faults[::8]
+        serial = decoder_campaign(
+            checked, checker, sample, addresses,
+            attach_analytic=False, engine="serial",
+        )
+        packed = decoder_campaign(
+            checked, checker, sample, addresses, attach_analytic=False
+        )
+        assert record_key(serial) == record_key(packed)
 
 
 class TestDecoderCampaignEquivalence:
