@@ -63,8 +63,9 @@ def test_small_block_sa1_zero_latency():
         s.fault.key() for s in analysis.sa1_sites if s.zero_latency
     }
     checked_count = 0
-    for record in result.records:
-        if record.kind == "sa1" and record.fault.key() in zero_sites:
+    # records come back in fault-list order
+    for fault, record in zip(decoder_fault_list(checked), result.records):
+        if record.kind == "sa1" and fault.key() in zero_sites:
             if record.first_error is not None:
                 assert record.detected and record.latency == 0
                 checked_count += 1

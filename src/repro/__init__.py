@@ -80,9 +80,10 @@ Campaign quick path (1.3+)::
         [TransientScenario.single(address=5, bit=2, cycle=100)],
         Workload.scrubbed(words=256, cycles=4096, scrub_period=8, seed=1),
     )
-    artifact = result.to_result_set()    # provenance-stamped, JSONL-able
-    # an identical re-run is now a verified store hit — the simulator
-    # is never invoked; inspect with `repro results ls/show/diff`
+    result.write_jsonl("upsets.jsonl")  # a provenance-stamped ResultSet
+    # an identical re-run is now a verified store hit that compares
+    # equal to this one — the simulator is never invoked; inspect with
+    # `repro results ls/show/diff`
 
 Suite quick path (1.5+)::
 
@@ -182,7 +183,7 @@ if TYPE_CHECKING:
     from repro.service.client import ServiceClient
     from repro.service.service import CampaignService
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

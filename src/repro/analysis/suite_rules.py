@@ -133,6 +133,11 @@ def _check_targets(
             )
 
 
+#: policy knobs proven not to change records; the store keys leave them
+#: out, so cells differing only in these collide
+_EXECUTION_KNOBS = ("engine", "workers", "chunk")
+
+
 @rule(
     "suite-duplicate",
     "suite",
@@ -150,7 +155,11 @@ def _check_duplicates(
                 "target": cell.target,
                 "workload": cell.workload,
                 "scenarios": cell.scenarios,
-                "policy": cell.policy,
+                "policy": {
+                    knob: value
+                    for knob, value in cell.policy.items()
+                    if knob not in _EXECUTION_KNOBS
+                },
             },
             sort_keys=True,
         )

@@ -70,28 +70,9 @@ def _validate_engine_args(args: argparse.Namespace) -> None:
         )
 
 
-def _add_engine_aliases(group, dest: str) -> None:
-    """Deprecated --packed/--serial aliases for --engine packed/serial."""
-    group.add_argument(
-        "--packed",
-        dest=dest,
-        action="store_const",
-        const="packed",
-        help="deprecated alias for --engine packed",
-    )
-    group.add_argument(
-        "--serial",
-        dest=dest,
-        action="store_const",
-        const="serial",
-        help="deprecated alias for --engine serial",
-    )
-
-
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """--engine policy switch + --workers for campaign commands."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
+    parser.add_argument(
         "--engine",
         choices=ENGINE_CHOICES,
         default="packed",
@@ -99,7 +80,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "(NumPy lane arrays, needs repro[vector]), serial (per-cycle "
         "oracle), auto (vector when NumPy is importable)",
     )
-    _add_engine_aliases(group, "engine")
     parser.add_argument(
         "--workers",
         type=int,
@@ -544,7 +524,7 @@ def _cmd_results_show(args: argparse.Namespace) -> int:
         "summary": result.summary(),
         "by_kind": {
             kind: group.summary()
-            for kind, group in sorted(result.by_kind().items())
+            for kind, group in sorted(result.group_by("kind").items())
         },
         "provenance": [p.to_dict() for p in result.provenances],
     }
@@ -957,9 +937,8 @@ class ExperimentCommand:
     #: commands the generator takes (engine=, workers=) so the rows are
     #: produced by the engine the user selected
     rows_attr: Optional[str] = None
-    #: campaign-driven commands grow --engine (plus the deprecated
-    #: --packed/--serial aliases) and --workers and report wall time +
-    #: faults/sec under --json
+    #: campaign-driven commands grow --engine and --workers and report
+    #: wall time + faults/sec under --json
     engine_aware: bool = False
 
     def run(self, args: argparse.Namespace) -> int:
@@ -1268,15 +1247,13 @@ def build_parser() -> argparse.ArgumentParser:
     suite_run.add_argument(
         "suite", help="built-in suite name (see `suite ls`) or spec file"
     )
-    engine_group = suite_run.add_mutually_exclusive_group()
-    engine_group.add_argument(
+    suite_run.add_argument(
         "--engine",
         dest="engine_override",
         choices=ENGINE_CHOICES,
         default=None,
         help="override every cell's policy to this campaign engine",
     )
-    _add_engine_aliases(engine_group, "engine_override")
     suite_run.add_argument(
         "--workers",
         type=int,
@@ -1390,15 +1367,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run only the cells of one campaign family",
     )
-    submit_engine = submit.add_mutually_exclusive_group()
-    submit_engine.add_argument(
+    submit.add_argument(
         "--engine",
         dest="engine_override",
         choices=ENGINE_CHOICES,
         default=None,
         help="override every cell's policy to this campaign engine",
     )
-    _add_engine_aliases(submit_engine, "engine_override")
     submit.add_argument(
         "--no-cache",
         action="store_true",

@@ -216,7 +216,7 @@ class DesignEngine:
             zero_latency_sa0=all(r.latency == 0 for r in sa0),
             wall_time_s=wall,
             faults_per_sec=result.total / wall if wall > 0 else 0.0,
-            result_key=result.store_key,
+            result_key=result.provenances[0].key,
             store_hit=result.from_store,
         )
 
@@ -250,7 +250,6 @@ class DesignEngine:
                 empirical=empirical,
                 empirical_cycles=empirical_cycles,
                 empirical_seed=empirical_seed,
-                engine=engine,
             )
             if self.cache:
                 cached = self.store.get_report(report_key)
@@ -314,25 +313,25 @@ class DesignEngine:
         empirical: bool = False,
         empirical_cycles: int = 256,
         empirical_seed: int = DEFAULT_EMPIRICAL_SEED,
-        engine: str = "packed",
     ) -> str:
         """Content address of one evaluation: the spec, the evaluation
         policy and the engine's analytic context (area models, safety
         parameters) — everything a report's numbers depend on.  The
         defaults mirror :meth:`evaluate`, so callers that key an
-        evaluation they ran with defaults get the same address."""
+        evaluation they ran with defaults get the same address.  The
+        campaign engine is left out: every engine gives bit-identical
+        records, so a report measured on one serves them all."""
         from repro.results import campaign_key
 
         return campaign_key(
             {
-                "format": 1,
+                "format": 2,
                 "kind": "design-report",
                 "spec": spec.to_dict(),
                 "empirical": {
                     "enabled": empirical,
                     "cycles": empirical_cycles,
                     "seed": empirical_seed,
-                    "engine": engine,
                 },
                 "context": {
                     "fault_rate_per_hour": self.fault_rate_per_hour,

@@ -1,4 +1,6 @@
-"""Monte-Carlo fault-injection campaigns and their result statistics.
+"""Monte-Carlo fault-injection campaigns.
+
+Every campaign returns a :class:`repro.results.ResultSet`.
 
 Campaigns run on one of three engines (``engine=`` on the drivers):
 ``"packed"`` — the default bit-parallel engine of
@@ -29,18 +31,11 @@ if TYPE_CHECKING:
     from repro.faultsim.injector import (
         burst_addresses,
         decoder_fault_list,
-        random_addresses,
         rom_fault_list,
         sample_faults,
         sequential_addresses,
     )
-    from repro.faultsim.results import CampaignResult, FaultRecord
-    from repro.faultsim.transient import (
-        TransientResult,
-        TransientUpset,
-        scrubbed_stream,
-        transient_campaign,
-    )
+    from repro.faultsim.transient import TransientUpset
     from repro.faultsim.vectorsim import (
         CAMPAIGN_ENGINES,
         decoder_campaign_vector,
@@ -51,9 +46,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TransientUpset",
-    "TransientResult",
-    "transient_campaign",
-    "scrubbed_stream",
     "CAMPAIGN_ENGINES",
     "numpy_available",
     "resolve_engine",
@@ -65,14 +57,11 @@ __all__ = [
     "scheme_campaign_vector",
     "classify_structural_fault",
     "default_scheme_writer",
-    "random_addresses",
     "sequential_addresses",
     "burst_addresses",
     "decoder_fault_list",
     "rom_fault_list",
     "sample_faults",
-    "CampaignResult",
-    "FaultRecord",
 ]
 
 __getattr__, __dir__ = _lazy(
@@ -88,18 +77,11 @@ __getattr__, __dir__ = _lazy(
         ".injector": (
             "burst_addresses",
             "decoder_fault_list",
-            "random_addresses",
             "rom_fault_list",
             "sample_faults",
             "sequential_addresses",
         ),
-        ".results": ("CampaignResult", "FaultRecord"),
-        ".transient": (
-            "TransientResult",
-            "TransientUpset",
-            "scrubbed_stream",
-            "transient_campaign",
-        ),
+        ".transient": ("TransientUpset",),
         ".vectorsim": (
             "CAMPAIGN_ENGINES",
             "decoder_campaign_vector",

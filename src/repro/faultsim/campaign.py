@@ -9,9 +9,11 @@ Two levels of campaign:
   :class:`~repro.core.scheme.SelfCheckingMemory`: any fault kind, all
   three checkers observed, reads drawn from an address stream.
 
-Both return :class:`~repro.faultsim.results.CampaignResult`, whose
+Both return a :class:`~repro.results.ResultSet`, whose
 ``escape_fraction_at(c)`` is the empirical counterpart of the analytic
-``Pndc`` — the X2 bench overlays the two.
+``Pndc`` — the X2 bench overlays the two.  Every engine assembles its
+records through :func:`decoder_result` / :func:`scheme_result`, so the
+three engines cannot differ in record shape.
 
 Three engines drive each campaign, selected with ``engine=``:
 
@@ -32,15 +34,28 @@ back to ``"packed"`` otherwise.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.checkers.base import Checker
 from repro.circuits.faults import FaultBase, NetStuckAt
 from repro.core.scheme import SelfCheckingMemory
 from repro.decoder.analysis import analyze_decoder
-from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.faultsim.vectorsim import resolve_engine
 from repro.memory.faults import MemoryFault
+from repro.results.resultset import (
+    Provenance,
+    ResultRecord,
+    ResultSet,
+    fault_id,
+)
 from repro.rom.nor_matrix import CheckedDecoder
 
 __all__ = [
@@ -49,6 +64,8 @@ __all__ = [
     "classify_structural_fault",
     "default_scheme_writer",
     "analytic_escapes",
+    "decoder_result",
+    "scheme_result",
 ]
 
 
@@ -96,6 +113,75 @@ def analytic_escapes(checked: CheckedDecoder) -> dict:
     }
 
 
+def _campaign_set(
+    family: str, engine: str, cycles: int, records: List[ResultRecord]
+) -> ResultSet:
+    from repro import __version__
+
+    return ResultSet(
+        records=records,
+        provenances=(
+            Provenance(
+                campaign=family, engine=engine, repro_version=__version__
+            ),
+        ),
+        cycles_simulated=cycles,
+    )
+
+
+def decoder_result(
+    checked: CheckedDecoder,
+    faults: Sequence[FaultBase],
+    outcomes: Iterable[Tuple[Optional[int], Optional[int]]],
+    analytic: Optional[dict],
+    engine: str,
+    cycles: int,
+) -> ResultSet:
+    """One record per fault, in input order, from each fault's
+    ``(first_error, first_detection)`` outcome."""
+    records = []
+    for fault, (first_error, first_detection) in zip(faults, outcomes):
+        escape = None
+        if analytic is not None and isinstance(fault, NetStuckAt):
+            escape = analytic.get(fault.key())
+        records.append(
+            ResultRecord(
+                fault=fault_id(fault),
+                kind=classify_structural_fault(checked, fault),
+                first_detection=first_detection,
+                first_error=first_error,
+                analytic_escape=escape,
+            )
+        )
+    return _campaign_set("decoder", engine, cycles, records)
+
+
+def scheme_result(
+    memory: SelfCheckingMemory,
+    row_faults: Sequence[FaultBase],
+    column_faults: Sequence[FaultBase],
+    memory_faults: Sequence[MemoryFault],
+    detections: Iterable[Optional[int]],
+    engine: str,
+    cycles: int,
+) -> ResultSet:
+    """One record per fault in row -> column -> memory order, from each
+    fault's ``first_detection`` (given in that same order)."""
+    labelled = (
+        [(f, classify_structural_fault(memory.row, f)) for f in row_faults]
+        + [
+            (f, classify_structural_fault(memory.column, f))
+            for f in column_faults
+        ]
+        + [(f, "memory") for f in memory_faults]
+    )
+    records = [
+        ResultRecord(fault=fault_id(fault), kind=kind, first_detection=first)
+        for (fault, kind), first in zip(labelled, detections)
+    ]
+    return _campaign_set("scheme", engine, cycles, records)
+
+
 def decoder_campaign(
     checked: CheckedDecoder,
     checker: Checker,
@@ -106,7 +192,7 @@ def decoder_campaign(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Simulate each fault against the address stream.
 
     Per cycle: apply the address, read the ROM word, ask the checker.
@@ -159,12 +245,9 @@ def decoder_campaign(
         )
 
     analytic = analytic_escapes(checked) if attach_analytic else None
-
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="serial"
-    )
+    faults = list(faults)
+    outcomes = []
     for fault in faults:
-        kind = classify_structural_fault(checked, fault)
         first_error: Optional[int] = None
         first_detection: Optional[int] = None
         for cycle, address in enumerate(addresses):
@@ -177,19 +260,10 @@ def decoder_campaign(
             if not checker.accepts(rom_word):
                 first_detection = cycle
                 break
-        escape = None
-        if analytic is not None and isinstance(fault, NetStuckAt):
-            escape = analytic.get(fault.key())
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=kind,
-                first_detection=first_detection,
-                first_error=first_error,
-                analytic_escape=escape,
-            )
-        )
-    return result
+        outcomes.append((first_error, first_detection))
+    return decoder_result(
+        checked, faults, outcomes, analytic, "serial", len(addresses)
+    )
 
 
 def default_scheme_writer(memory: SelfCheckingMemory) -> None:
@@ -214,7 +288,7 @@ def scheme_campaign(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """End-to-end campaign on the assembled scheme.
 
     ``writer`` initialises memory contents before each fault run (default:
@@ -260,34 +334,41 @@ def scheme_campaign(
 
     fill = writer or default_scheme_writer
     fill(memory)
+    row_faults = list(row_faults)
+    column_faults = list(column_faults)
+    memory_faults = list(memory_faults)
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="serial"
-    )
-
-    def run_one(fault, kind: str, inject: Callable[[], None]) -> None:
+    def first_detection(inject: Callable[[], None]) -> Optional[int]:
         memory.clear_faults()
         inject()
-        first_detection: Optional[int] = None
-        for cycle, address in enumerate(addresses):
-            if memory.read(address).error_detected:
-                first_detection = cycle
-                break
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=kind,
-                first_detection=first_detection,
-            )
-        )
-        memory.clear_faults()
+        try:
+            for cycle, address in enumerate(addresses):
+                if memory.read(address).error_detected:
+                    return cycle
+            return None
+        finally:
+            memory.clear_faults()
 
-    for fault in row_faults:
-        kind = classify_structural_fault(memory.row, fault)
-        run_one(fault, kind, lambda f=fault: memory.inject_row_fault(f))
-    for fault in column_faults:
-        kind = classify_structural_fault(memory.column, fault)
-        run_one(fault, kind, lambda f=fault: memory.inject_column_fault(f))
-    for fault in memory_faults:
-        run_one(fault, "memory", lambda f=fault: memory.inject_memory_fault(f))
-    return result
+    detections = (
+        [
+            first_detection(lambda f=f: memory.inject_row_fault(f))
+            for f in row_faults
+        ]
+        + [
+            first_detection(lambda f=f: memory.inject_column_fault(f))
+            for f in column_faults
+        ]
+        + [
+            first_detection(lambda f=f: memory.inject_memory_fault(f))
+            for f in memory_faults
+        ]
+    )
+    return scheme_result(
+        memory,
+        row_faults,
+        column_faults,
+        memory_faults,
+        detections,
+        "serial",
+        len(addresses),
+    )

@@ -69,7 +69,7 @@ from repro.circuits.parallel import (
     packed_gate_word,
 )
 from repro.core.scheme import SelfCheckingMemory
-from repro.faultsim.results import CampaignResult, FaultRecord
+from repro.results.resultset import ResultSet
 from repro.rom.nor_matrix import CheckedDecoder
 
 __all__ = [
@@ -412,7 +412,7 @@ def decoder_campaign_packed(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Packed counterpart of :func:`repro.faultsim.campaign.decoder_campaign`.
 
     Bit-identical records, one netlist traversal per simulated fault
@@ -420,10 +420,7 @@ def decoder_campaign_packed(
     representative list over a process pool, ``chunk=W`` bounds packed
     lane words to W bits (see :func:`_decoder_worker`).
     """
-    from repro.faultsim.campaign import (
-        analytic_escapes,
-        classify_structural_fault,
-    )
+    from repro.faultsim.campaign import analytic_escapes, decoder_result
 
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1 lanes, got {chunk}")
@@ -439,24 +436,14 @@ def decoder_campaign_packed(
         workers,
     )
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="packed"
+    return decoder_result(
+        checked,
+        faults,
+        [outcomes[key_to_group[fault.key()]] for fault in faults],
+        analytic,
+        "packed",
+        len(addresses),
     )
-    for fault in faults:
-        first_error, first_detection = outcomes[key_to_group[fault.key()]]
-        escape = None
-        if analytic is not None and isinstance(fault, NetStuckAt):
-            escape = analytic.get(fault.key())
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(checked, fault),
-                first_detection=first_detection,
-                first_error=first_error,
-                analytic_escape=escape,
-            )
-        )
-    return result
 
 
 # -- scheme campaigns --------------------------------------------------------
@@ -602,17 +589,14 @@ def scheme_campaign_packed(
     writer=None,
     collapse: bool = True,
     workers: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Packed counterpart of :func:`repro.faultsim.campaign.scheme_campaign`.
 
     Structural row/column faults are collapsed per axis and simulated
     with one packed traversal each; behavioural memory faults use
     address-memoised reads.  Bit-identical to the serial oracle.
     """
-    from repro.faultsim.campaign import (
-        classify_structural_fault,
-        default_scheme_writer,
-    )
+    from repro.faultsim.campaign import default_scheme_writer, scheme_result
 
     fill = writer or default_scheme_writer
     fill(memory)
@@ -640,27 +624,17 @@ def scheme_campaign_packed(
     col_out = outcomes[len(row_reps) : len(row_reps) + len(col_reps)]
     mem_out = outcomes[len(row_reps) + len(col_reps) :]
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="packed"
+    detections = (
+        [row_out[row_groups[fault.key()]] for fault in row_faults]
+        + [col_out[col_groups[fault.key()]] for fault in column_faults]
+        + mem_out
     )
-    for fault in row_faults:
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(memory.row, fault),
-                first_detection=row_out[row_groups[fault.key()]],
-            )
-        )
-    for fault in column_faults:
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(memory.column, fault),
-                first_detection=col_out[col_groups[fault.key()]],
-            )
-        )
-    for fault, first in zip(memory_faults, mem_out):
-        result.add(
-            FaultRecord(fault=fault, kind="memory", first_detection=first)
-        )
-    return result
+    return scheme_result(
+        memory,
+        row_faults,
+        column_faults,
+        memory_faults,
+        detections,
+        "packed",
+        len(addresses),
+    )

@@ -3,13 +3,13 @@
 The address-stream helpers are thin shims over the 1.3
 :class:`repro.scenarios.Workload` vocabulary (bit-identical traces);
 new code should build workloads directly — they compose, serialise and
-chunk-iterate, which bare lists cannot.
+chunk-iterate, which bare lists cannot.  Uniform random traffic has no
+helper: use ``Workload.uniform(1 << n_bits, cycles, seed=seed)``.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import List, Optional, Sequence
 
 from repro.circuits.faults import FaultBase, NetStuckAt
@@ -17,33 +17,12 @@ from repro.rom.nor_matrix import CheckedDecoder
 from repro.scenarios.workload import Workload
 
 __all__ = [
-    "random_addresses",
     "sequential_addresses",
     "burst_addresses",
     "decoder_fault_list",
     "rom_fault_list",
     "sample_faults",
 ]
-
-
-def random_addresses(
-    n_bits: int, cycles: int, seed: int = 0
-) -> List[int]:
-    """Uniform i.i.d. address stream — the paper's latency model's regime.
-
-    .. deprecated:: 1.4
-        Shim over ``Workload.uniform(1 << n_bits, cycles, seed)``
-        (bit-identical trace); ``Workload`` has been canonical since
-        1.3 — construct it directly (it composes, serialises and
-        chunk-iterates, which bare lists cannot).
-    """
-    warnings.warn(
-        "random_addresses() is a 1.2-era shim; build "
-        "Workload.uniform(1 << n_bits, cycles, seed=seed) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Workload.uniform(1 << n_bits, cycles, seed=seed).address_list()
 
 
 def sequential_addresses(n_bits: int, cycles: int, start: int = 0) -> List[int]:

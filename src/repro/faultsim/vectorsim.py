@@ -39,11 +39,11 @@ from repro.checkers.berger_checker import BergerChecker
 from repro.checkers.m_out_of_n_checker import MOutOfNChecker
 from repro.checkers.parity_checker import ParityChecker
 from repro.checkers.two_rail_checker import TwoRailChecker
-from repro.circuits.faults import FaultBase, NetStuckAt
+from repro.circuits.faults import FaultBase
 from repro.circuits.gates import GateType
 from repro.core.scheme import SelfCheckingMemory
 from repro.faultsim.fastsim import _fault_groups, _map_jobs
-from repro.faultsim.results import CampaignResult, FaultRecord
+from repro.results.resultset import ResultSet
 from repro.rom.nor_matrix import CheckedDecoder
 
 __all__ = [
@@ -549,7 +549,7 @@ def decoder_campaign_vector(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Vector counterpart of :func:`repro.faultsim.campaign.decoder_campaign`.
 
     Bit-identical records to the packed and serial engines; the whole
@@ -558,10 +558,7 @@ def decoder_campaign_vector(
     pool; ``chunk=W`` sets the bounded-memory window width
     (:data:`DEFAULT_WINDOW` when unset; results invariant in W).
     """
-    from repro.faultsim.campaign import (
-        analytic_escapes,
-        classify_structural_fault,
-    )
+    from repro.faultsim.campaign import analytic_escapes, decoder_result
 
     require_numpy()
     if chunk is not None and chunk < 1:
@@ -578,24 +575,14 @@ def decoder_campaign_vector(
         workers,
     )
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="vector"
+    return decoder_result(
+        checked,
+        faults,
+        [outcomes[key_to_group[fault.key()]] for fault in faults],
+        analytic,
+        "vector",
+        len(addresses),
     )
-    for fault in faults:
-        first_error, first_detection = outcomes[key_to_group[fault.key()]]
-        escape = None
-        if analytic is not None and isinstance(fault, NetStuckAt):
-            escape = analytic.get(fault.key())
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(checked, fault),
-                first_detection=first_detection,
-                first_error=first_error,
-                analytic_escape=escape,
-            )
-        )
-    return result
 
 
 # -- scheme campaigns --------------------------------------------------------
@@ -938,7 +925,7 @@ def scheme_campaign_vector(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Vector counterpart of :func:`repro.faultsim.campaign.scheme_campaign`.
 
     Structural row/column faults are collapsed per axis and evaluated
@@ -947,10 +934,7 @@ def scheme_campaign_vector(
     the static array contents instead of per-fault behavioural reads.
     Bit-identical to the packed and serial engines.
     """
-    from repro.faultsim.campaign import (
-        classify_structural_fault,
-        default_scheme_writer,
-    )
+    from repro.faultsim.campaign import default_scheme_writer, scheme_result
 
     require_numpy()
     if chunk is not None and chunk < 1:
@@ -985,27 +969,17 @@ def scheme_campaign_vector(
     col_out = outcomes[len(row_reps) : len(row_reps) + len(col_reps)]
     mem_out = outcomes[len(row_reps) + len(col_reps) :]
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="vector"
+    detections = (
+        [row_out[row_groups[fault.key()]] for fault in row_faults]
+        + [col_out[col_groups[fault.key()]] for fault in column_faults]
+        + mem_out
     )
-    for fault in row_faults:
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(memory.row, fault),
-                first_detection=row_out[row_groups[fault.key()]],
-            )
-        )
-    for fault in column_faults:
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(memory.column, fault),
-                first_detection=col_out[col_groups[fault.key()]],
-            )
-        )
-    for fault, first in zip(memory_faults, mem_out):
-        result.add(
-            FaultRecord(fault=fault, kind="memory", first_detection=first)
-        )
-    return result
+    return scheme_result(
+        memory,
+        row_faults,
+        column_faults,
+        memory_faults,
+        detections,
+        "vector",
+        len(addresses),
+    )

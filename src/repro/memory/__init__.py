@@ -21,7 +21,6 @@ if TYPE_CHECKING:
         MarchElement,
         MarchTest,
         MarchViolation,
-        march_address_stream,
         run_march,
     )
     from repro.memory.organization import (
@@ -52,7 +51,6 @@ __all__ = [
     "MARCH_X",
     "MARCH_Y",
     "run_march",
-    "march_address_stream",
 ]
 
 __getattr__, __dir__ = _lazy(
@@ -74,7 +72,6 @@ __getattr__, __dir__ = _lazy(
             "MarchElement",
             "MarchTest",
             "MarchViolation",
-            "march_address_stream",
             "run_march",
         ),
         ".organization": ("PAPER_ORGS", "MemoryOrganization", "paper_org"),

@@ -9,12 +9,14 @@ One vocabulary drives every campaign:
   faults, transient upsets and multi-fault combinations under one
   hierarchy;
 * :class:`CampaignEngine` — the facade routing any scenario family to
-  the ``"packed"`` fast path or the ``"serial"`` bit-identity oracle,
-  with ``collapse`` / ``workers`` / ``chunk`` execution policy.
+  the ``"packed"`` / ``"vector"`` fast paths or the ``"serial"``
+  bit-identity oracle, with ``collapse`` / ``workers`` / ``chunk``
+  execution policy; every method returns a
+  :class:`repro.results.ResultSet`.
 
-The pre-1.3 helpers (``random_addresses``, ``scrubbed_stream``,
-``march_address_stream``, ``transient_campaign``) remain as thin shims
-over these types; see CHANGES.md for the migration table.
+The pre-1.3 helpers ``random_addresses``, ``scrubbed_stream``,
+``march_address_stream`` and ``transient_campaign`` were removed in
+2.0; see CHANGES.md for the migration table.
 """
 
 from typing import TYPE_CHECKING

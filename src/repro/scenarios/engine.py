@@ -29,6 +29,9 @@ here:
 
 Both packed paths are proven bit-identical to the serial oracle
 record-by-record; the serial loops remain the reference semantics.
+Every campaign returns a :class:`~repro.results.ResultSet` whose
+records carry :func:`~repro.results.fault_id` strings, so a fresh run
+and its store hit compare equal.
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ from typing import (
 )
 
 from repro.faultsim.fastsim import _map_jobs
-from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.faultsim.transient import TransientUpset
 from repro.circuits.parallel import first_set_lane
 from repro.faultsim.vectorsim import resolve_engine
 from repro.results import (
     Provenance,
+    ResultRecord,
+    ResultSet,
     ResultStore,
     campaign_key,
     canonical_json,
@@ -573,13 +577,14 @@ class CampaignEngine:
       simulator.  With ``workers=N`` the scenario-list campaigns
       (:meth:`decoder`, :meth:`transient`, :meth:`march`) additionally
       checkpoint per shard, so an interrupted campaign resumes from its
-      completed shards.  Results served from the store carry the
-      printable fault identity (a string) in ``record.fault``.
+      completed shards.  A served set has ``from_store`` set and
+      otherwise equals the fresh run.
     * ``cache`` — ``False`` skips the lookup but still refreshes the
       store entry (the CLI's ``--no-cache``).
 
-    ``workers`` and ``chunk`` are excluded from the campaign key: both
-    are proven result-invariant execution details.
+    ``engine``, ``workers`` and ``chunk`` are excluded from the campaign
+    key: all three are proven result-invariant execution details (the
+    engine is still stamped into the provenance).
     """
 
     def __init__(
@@ -624,14 +629,14 @@ class CampaignEngine:
         """The canonical campaign-key material (see module docstring of
         :mod:`repro.results.store`)."""
         material = {
-            "format": 1,
+            "format": 2,
             "campaign": family,
             "target": target,
             "scenarios": scenario_material(descriptions),
             "workload": (
                 workload_material(workload) if workload is not None else None
             ),
-            "policy": {"engine": self.engine, "collapse": self.collapse},
+            "policy": {"collapse": self.collapse},
         }
         if extra:
             material["extra"] = extra
@@ -684,38 +689,33 @@ class CampaignEngine:
         family: str,
         material_fn: Callable[[], dict],
         scenarios: List,
-        runner: Callable[[List], CampaignResult],
+        runner: Callable[[List], ResultSet],
         workload: Optional[Workload] = None,
         shardable: bool = False,
         spec: Optional[dict] = None,
         storable: bool = True,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """Run (or serve) one campaign under the artifact policy.
 
         ``runner(subset)`` simulates a scenario subset and returns its
-        :class:`CampaignResult` in subset order — the contract the
+        :class:`ResultSet` in subset order — the contract the
         shard-resume path relies on.  ``material_fn`` builds the key
         material lazily: store-less runs never pay for target/scenario
         digests.
         """
         if self.store is None or not storable:
             result = runner(scenarios)
-            result.provenance = self._provenance(
-                family, workload, len(scenarios), spec=spec
+            result.provenances = (
+                self._provenance(family, workload, len(scenarios), spec=spec),
             )
             return result
         material = material_fn()
         key = campaign_key(material)
-        provenance = self._provenance(
-            family, workload, len(scenarios),
-            material=material, key=key, spec=spec,
-        )
         if self.cache:
             cached = self.store.get(key)
             if cached is not None:
-                view = cached.to_campaign()
-                view.from_store = True
-                return view
+                cached.from_store = True
+                return cached
         if (
             shardable
             and self.workers is not None
@@ -728,9 +728,13 @@ class CampaignEngine:
         else:
             result = runner(scenarios)
             shard_keys = []
-        result.provenance = provenance
-        result.store_key = key
-        self.store.put(key, result.to_result_set(provenance), material)
+        result.provenances = (
+            self._provenance(
+                family, workload, len(scenarios),
+                material=material, key=key, spec=spec,
+            ),
+        )
+        self.store.put(key, result, material)
         # the full entry supersedes the per-shard checkpoints — prune
         # them so the store holds one entry per completed campaign
         for shard_key in shard_keys:
@@ -742,51 +746,43 @@ class CampaignEngine:
         family: str,
         material: dict,
         scenarios: List,
-        runner: Callable[[List], CampaignResult],
+        runner: Callable[[List], ResultSet],
         workload: Optional[Workload],
         spec: Optional[dict],
-    ) -> Tuple[CampaignResult, List[str]]:
+    ) -> Tuple[ResultSet, List[str]]:
         """Per-shard checkpointing: each of ``workers`` contiguous
         scenario shards is stored under its own sub-key as it completes,
         so a re-run after an interruption only simulates the shards that
-        never finished.  Records come back through the serialised form
-        uniformly, so resumed and fresh shards carry the same printable
-        fault identity.
+        never finished.
         """
         shard_count = min(self.workers, len(scenarios))
         base, remainder = divmod(len(scenarios), shard_count)
-        shards: List[List] = []
+        parts: List[ResultSet] = []
+        shard_keys: List[str] = []
         cursor = 0
         for index in range(shard_count):
             size = base + (1 if index < remainder else 0)
-            shards.append(scenarios[cursor : cursor + size])
+            shard = scenarios[cursor : cursor + size]
             cursor += size
-        parts: List[CampaignResult] = []
-        shard_keys: List[str] = []
-        for index, shard in enumerate(shards):
             shard_material = dict(material)
             shard_material["shard"] = {"index": index, "of": shard_count}
             shard_key = campaign_key(shard_material)
             shard_keys.append(shard_key)
-            cached = self.store.get(shard_key) if self.cache else None
-            if cached is not None:
-                parts.append(cached.to_campaign())
-                continue
-            part = runner(shard)
-            shard_provenance = self._provenance(
-                family, workload, len(shard),
-                material=shard_material, key=shard_key, spec=spec,
-            )
-            shard_set = part.to_result_set(shard_provenance)
-            self.store.put(shard_key, shard_set, shard_material)
-            parts.append(shard_set.to_campaign())
+            part = self.store.get(shard_key) if self.cache else None
+            if part is None:
+                part = runner(shard)
+                part.provenances = (
+                    self._provenance(
+                        family, workload, len(shard),
+                        material=shard_material, key=shard_key, spec=spec,
+                    ),
+                )
+                self.store.put(shard_key, part, shard_material)
+            parts.append(part)
+        records = [record for part in parts for record in part.records]
         return (
-            CampaignResult(
-                records=[
-                    record for part in parts for record in part.records
-                ],
-                cycles_simulated=parts[0].cycles_simulated,
-                engine=self.engine,
+            ResultSet(
+                records=records, cycles_simulated=parts[0].cycles_simulated
             ),
             shard_keys,
         )
@@ -801,7 +797,7 @@ class CampaignEngine:
         workload: Union[Workload, Sequence[int]],
         attach_analytic: bool = True,
         spec: Optional[dict] = None,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """Stuck-at campaign on a checked decoder (see
         :func:`repro.faultsim.campaign.decoder_campaign`).
 
@@ -817,7 +813,7 @@ class CampaignEngine:
             for s in faults
         ]
 
-        def run(subset: List) -> CampaignResult:
+        def run(subset: List) -> ResultSet:
             return decoder_campaign(
                 checked,
                 checker,
@@ -853,7 +849,7 @@ class CampaignEngine:
         workload: Union[Workload, Sequence[int]],
         scenarios: Iterable = (),
         writer=None,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """End-to-end campaign on a self-checking memory, scenarios
         routed by kind (structural axis faults, behavioural memory
         faults) — see :func:`repro.faultsim.campaign.scheme_campaign`."""
@@ -883,7 +879,7 @@ class CampaignEngine:
         # (unshardable) runner both speak that canonical order
         ordered = row_scenarios + column_scenarios + memory_scenarios
 
-        def run(subset: List) -> CampaignResult:
+        def run(subset: List) -> ResultSet:
             return scheme_campaign(
                 memory,
                 workload,
@@ -929,7 +925,7 @@ class CampaignEngine:
         ram: BehavioralRAM,
         scenarios: Iterable,
         workload: Union[Workload, Sequence[int]],
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """Single-event-upset campaign on a parity-protected RAM.
 
         Per scenario the RAM starts as a fault-free all-zero fill; the
@@ -958,28 +954,27 @@ class CampaignEngine:
             normalized.append(scenario)
         _validate_transient(ram, normalized)
 
-        def run(subset: List[TransientScenario]) -> CampaignResult:
+        def run(subset: List[TransientScenario]) -> ResultSet:
             outcomes = _map_jobs(
                 _transient_worker,
                 (ram, workload, self.engine, self.chunk),
                 subset,
                 self.workers,
             )
-            result = CampaignResult(
-                cycles_simulated=len(workload), engine=self.engine
-            )
-            for scenario, (first_error, first_detection) in zip(
-                subset, outcomes
-            ):
-                result.add(
-                    FaultRecord(
-                        fault=scenario,
+            return ResultSet(
+                records=[
+                    ResultRecord(
+                        fault=fault_id(scenario),
                         kind="transient",
                         first_detection=first_detection,
                         first_error=first_error,
                     )
-                )
-            return result
+                    for scenario, (first_error, first_detection) in zip(
+                        subset, outcomes
+                    )
+                ],
+                cycles_simulated=len(workload),
+            )
 
         def material():
             return self._material(
@@ -1001,7 +996,7 @@ class CampaignEngine:
         ram: BehavioralRAM,
         scenarios: Iterable,
         test: MarchTest,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """March-test detection campaign over behavioural fault scenarios.
 
         Each scenario runs the full march from a fresh all-zero array;
@@ -1022,25 +1017,24 @@ class CampaignEngine:
                 )
             normalized.append(scenario)
 
-        def run(subset: List[MemoryScenario]) -> CampaignResult:
+        def run(subset: List[MemoryScenario]) -> ResultSet:
             outcomes = _map_jobs(
                 _march_worker,
                 (ram, workload, self.engine),
                 subset,
                 self.workers,
             )
-            result = CampaignResult(
-                cycles_simulated=len(workload), engine=self.engine
-            )
-            for scenario, first_detection in zip(subset, outcomes):
-                result.add(
-                    FaultRecord(
-                        fault=scenario,
+            return ResultSet(
+                records=[
+                    ResultRecord(
+                        fault=fault_id(scenario),
                         kind="memory",
                         first_detection=first_detection,
                     )
-                )
-            return result
+                    for scenario, first_detection in zip(subset, outcomes)
+                ],
+                cycles_simulated=len(workload),
+            )
 
         def material():
             return self._material(

@@ -1,11 +1,10 @@
 """`Workload` — the one stimulus vocabulary every campaign speaks.
 
 Before 1.3 each campaign family had its own incompatible notion of an
-address stream: :func:`repro.faultsim.injector.random_addresses`,
-:func:`repro.faultsim.transient.scrubbed_stream` and
-:func:`repro.memory.march.march_address_stream` all returned bare
-``List[int]``\\ s with different parameterisations.  A :class:`Workload`
-replaces all three (the old helpers survive as thin shims):
+address stream: ``random_addresses``, ``scrubbed_stream`` and
+``march_address_stream`` all returned bare ``List[int]``\\ s with
+different parameterisations.  A :class:`Workload` replaced all three
+(the helpers were removed in 2.0):
 
 * **seeded** — every stochastic generator takes an explicit ``seed`` and
   re-derives its RNG on each iteration, so the same workload value
@@ -24,7 +23,8 @@ replaces all three (the old helpers survive as thin shims):
 Every generator from the pre-1.3 helpers is reproduced bit-for-bit:
 ``Workload.uniform(1 << n, cycles, seed).address_list()`` equals the old
 ``random_addresses(n, cycles, seed)``, and likewise for sequential,
-bursty, scrubbed and march streams (the shim tests pin this).
+bursty, scrubbed and march streams (reference implementations in the
+tests pin this).
 """
 
 from __future__ import annotations

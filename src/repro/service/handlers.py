@@ -17,6 +17,11 @@ Routes::
     GET  /results/{key}            artifact metadata (prefix accepted)
     GET  /results/{key}/records    the raw JSONL records
 
+A request body is read only when its ``Content-Length`` is a
+non-negative integer of at most :data:`MAX_BODY_BYTES`; otherwise the
+reply is 400 (malformed length) or 413 (too large) with a one-line JSON
+error, and the connection closes without reading the body.
+
 :func:`make_server` binds the router into a stdlib
 :class:`~http.server.ThreadingHTTPServer`; :func:`serving` runs one on
 a background thread for tests, examples and benches.
@@ -39,12 +44,41 @@ __all__ = ["Router", "make_server", "serving"]
 JSON_TYPE = "application/json"
 JSONL_TYPE = "application/x-ndjson"
 
+#: the largest request body the server reads; a submission is a suite
+#: name or a SuiteSpec object, kilobytes at most
+MAX_BODY_BYTES = 1 << 20
+
 Response = Tuple[int, str, bytes]
 
 
 def _json_response(status: int, payload: object) -> Response:
     body = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     return status, JSON_TYPE, body.encode("utf-8")
+
+
+def _body_length(header: Optional[str]) -> Tuple[int, Optional[Response]]:
+    """The body length a ``Content-Length`` header announces, or the
+    400/413 reply that refuses it."""
+
+    def refuse(status: int, message: str) -> Tuple[int, Response]:
+        line = json.dumps({"error": message}) + "\n"
+        return 0, (status, JSON_TYPE, line.encode("utf-8"))
+
+    try:
+        length = int(header or 0)
+    except ValueError:
+        return refuse(
+            400, f"Content-Length must be an integer, got {str(header)[:40]!r}"
+        )
+    if length < 0:
+        return refuse(400, f"Content-Length must be >= 0, got {length}")
+    if length > MAX_BODY_BYTES:
+        return refuse(
+            413,
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+        )
+    return length, None
 
 
 class Router:
@@ -154,11 +188,13 @@ def make_server(
             if not quiet:
                 BaseHTTPRequestHandler.log_message(self, format, *args)
 
-        def _respond(self, response: Response) -> None:
+        def _respond(self, response: Response, close: bool = False) -> None:
             status, content_type, payload = response
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(payload)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(payload)
 
@@ -166,7 +202,11 @@ def make_server(
             self._respond(router.route("GET", self.path))
 
         def do_POST(self) -> None:  # noqa: N802 (stdlib handler API)
-            length = int(self.headers.get("Content-Length") or 0)
+            length, refusal = _body_length(self.headers["Content-Length"])
+            if refusal is not None:
+                # the unread body must not be parsed as the next request
+                self._respond(refusal, close=True)
+                return
             body = self.rfile.read(length) if length else b""
             self._respond(router.route("POST", self.path, body))
 

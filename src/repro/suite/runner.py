@@ -136,7 +136,6 @@ def _run_design(cell: CampaignCell, store, cache: bool):
             spec,
             empirical=empirical,
             empirical_cycles=int(policy.get("empirical_cycles", 256)),
-            engine=policy.get("engine", "packed"),
         )
     if report.empirical is not None:
         summary["empirical"] = {
@@ -250,10 +249,9 @@ def execute_cell(
         else:
             result = _CAMPAIGN_RUNNERS[cell.family](cell, store, cache)
             summary = result.summary()
-            provenance = (
-                result.provenance.to_dict() if result.provenance else None
-            )
-            key = result.store_key
+            stamp = result.provenances[0]  # CampaignEngine stamps one
+            provenance = stamp.to_dict()
+            key = stamp.key
             status = "hit" if result.from_store else "ran"
     except Exception as exc:  # fail-soft: the suite must outlive a cell
         message = " ".join(str(exc).split()) or type(exc).__name__

@@ -62,6 +62,23 @@ class TestSuiteRules:
         assert report.exit_code() == 0
         assert report.exit_code(strict=True) == 1
 
+    def test_cells_differing_only_in_execution_policy_collide(self):
+        # engine, workers and chunk stay out of the store key
+        block = transient_block(
+            policies=(
+                {"engine": "packed"},
+                {"engine": "serial"},
+                {"engine": "packed", "workers": 2, "chunk": 64},
+                {"collapse": False},
+            )
+        )
+        report = analyze(SuiteSpec(name="engines", blocks=(block,)))
+        duplicates = [
+            f for f in report.findings if f.rule == "suite-duplicate"
+        ]
+        assert len(duplicates) == 1
+        assert len(duplicates[0].counterexample["cells"]) == 3
+
     def test_unpinned_workload_is_a_provenance_warning(self):
         block = transient_block(workloads=({"family": "uniform"},))
         report = analyze(SuiteSpec(name="loose", blocks=(block,)))

@@ -76,12 +76,14 @@ class TestCampaignSubcommands:
         assert "coupling (write CFid)" in by_test["MATS+"]["missed_classes"]
 
     def test_serial_engine_flag(self, capsys):
-        assert main(["march", "--serial", "--json"]) == 0
+        assert main(["march", "--engine", "serial", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["engine"] == "serial"
 
     def test_workers_with_serial_rejected(self, capsys):
-        assert main(["transient", "--serial", "--workers", "2"]) == 1
+        assert main(
+            ["transient", "--engine", "serial", "--workers", "2"]
+        ) == 1
         assert "--workers requires the packed or vector engine" in (
             capsys.readouterr().err
         )

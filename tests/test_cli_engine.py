@@ -1,9 +1,10 @@
 """The unified --engine CLI surface: policy choices on every
-campaign-driven command, the deprecated --packed/--serial aliases,
-alias/flag conflicts, suite-level overrides, and the resolved engine in
---json payloads."""
+campaign-driven command, the removed --packed/--serial aliases,
+suite-level overrides, engine-free store keys, and the resolved engine
+in --json payloads."""
 
 import json
+import os
 
 import pytest
 
@@ -61,30 +62,22 @@ class TestEngineFlag:
         )
 
 
-class TestDeprecatedAliases:
-    def test_serial_alias_still_works(self, capsys):
-        assert main(["march", "--serial", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["engine"] == "serial"
-
-    def test_packed_alias_still_works(self, capsys):
-        assert main(["march", "--packed", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["engine"] == "packed"
-
-    def test_alias_help_says_deprecated(self, capsys):
+class TestRemovedAliases:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["march", "--serial"],
+            ["march", "--engine", "serial", "--packed"],
+            ["suite", "run", "smoke", "--packed", "--serial"],
+            ["submit", "smoke", "--packed"],
+        ],
+        ids=["march-serial", "march-packed", "suite-run", "submit"],
+    )
+    def test_alias_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["march", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "deprecated alias for --engine packed" in out
-        assert "deprecated alias for --engine serial" in out
-
-    def test_alias_conflicts_with_engine_flag(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["march", "--engine", "serial", "--packed"])
+            main(argv)
         assert excinfo.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSuiteEngineOverride:
@@ -117,13 +110,12 @@ class TestSuiteEngineOverride:
             return json.loads(capsys.readouterr().out)
 
         def stable(report):
-            # everything but the engine labels and the engine-keyed
-            # store identity: the scientific payload must be identical
+            # everything but the engine labels: the scientific payload
+            # and the (engine-free) store keys must be identical
             cells = []
             for cell in report["cells"]:
                 cell = dict(cell)
                 cell.pop("execution")
-                cell.pop("store_key")
                 cell["summary"] = {
                     k: v
                     for k, v in cell["summary"].items()
@@ -132,7 +124,7 @@ class TestSuiteEngineOverride:
                 cell["provenance"] = {
                     k: v
                     for k, v in cell["provenance"].items()
-                    if k not in ("engine", "key")
+                    if k != "engine"
                 }
                 cells.append(cell)
             return cells
@@ -141,11 +133,30 @@ class TestSuiteEngineOverride:
         vector = run("vector", tmp_path / "vector-store")
         assert stable(packed) == stable(vector)
 
-    def test_suite_run_alias_conflicts_with_engine(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["suite", "run", "smoke", "--engine", "serial",
-                 "--packed"]
+    @needs_numpy
+    def test_engine_switch_is_served_from_one_store(self, tmp_path, capsys):
+        # the engine is an execution detail, like workers and chunk: a
+        # vector run over a store the packed run filled is all hits
+        store = tmp_path / "store"
+
+        def run(engine):
+            assert main(
+                ["suite", "run", "smoke", "--engine", engine,
+                 "--store", str(store), "--quiet", "--json"]
+            ) == 0
+            return json.loads(capsys.readouterr().out)["execution"]
+
+        def files():
+            return sorted(
+                os.path.relpath(os.path.join(root, name), store)
+                for root, _, names in os.walk(store)
+                for name in names
             )
-        assert excinfo.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
+
+        assert run("packed")["simulated"] == 8
+        filled = files()
+        execution = run("vector")
+        assert execution["cells"] == 8
+        assert execution["hits"] == execution["verified_hits"] == 8
+        assert execution["simulated"] == 0
+        assert files() == filled

@@ -145,14 +145,6 @@ class TestHardenedErrorPaths:
         assert code == 1
         assert "'blocks'" in err
 
-    def test_conflicting_packed_serial(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["suite", "run", "smoke", "--packed", "--serial"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "not allowed with" in err
-        assert "Traceback" not in err
-
     def test_missing_store_directory(self, capsys, tmp_path):
         missing = str(tmp_path / "does-not-exist")
         code, _, err = run_cli(

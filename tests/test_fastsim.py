@@ -50,8 +50,7 @@ from repro.scenarios import Workload
 
 
 def _uniform_addresses(n_bits, cycles, seed=0):
-    """Uniform stimulus via the canonical Workload (the pre-1.4
-    random_addresses shim now warns)."""
+    """Uniform stimulus via the canonical Workload."""
     return Workload.uniform(1 << n_bits, cycles, seed=seed).address_list()
 
 
@@ -686,7 +685,7 @@ class TestCampaignCLI:
     def test_serial_flag_round_trip(self, capsys):
         from repro.cli import main
 
-        assert main(["latency", "--serial", "--json"]) == 0
+        assert main(["latency", "--engine", "serial", "--json"]) == 0
         import json
 
         payload = json.loads(capsys.readouterr().out)
@@ -696,7 +695,9 @@ class TestCampaignCLI:
     def test_workers_with_serial_engine_rejected(self, capsys):
         from repro.cli import main
 
-        assert main(["latency", "--serial", "--workers", "2"]) == 1
+        assert main(
+            ["latency", "--engine", "serial", "--workers", "2"]
+        ) == 1
         assert "--workers requires the packed or vector engine" in (
             capsys.readouterr().err
         )

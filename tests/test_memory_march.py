@@ -12,7 +12,6 @@ from repro.memory.march import (
     MATS_PLUS,
     MarchElement,
     MarchTest,
-    march_address_stream,
     run_march,
 )
 from repro.memory.organization import MemoryOrganization
@@ -173,12 +172,13 @@ class TestWriteTriggeredCoupling:
                 assert record.detected == bool(run_march(ram, test))
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestAddressStream:
-    def test_shim_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="Workload.march"):
-            march_address_stream(MATS_PLUS, 4)
+def march_address_stream(test, words, reads_only=False):
+    from repro.scenarios import Workload
 
+    return Workload.march(test, words, reads_only=reads_only).address_list()
+
+
+class TestAddressStream:
     def test_stream_length(self):
         words = 8
         stream = march_address_stream(MATS_PLUS, words)

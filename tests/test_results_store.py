@@ -1,10 +1,11 @@
 """Content-addressed ResultStore: verified hits, resume, CLI surface.
 
 The acceptance property: re-running any campaign with an unchanged
-(target, scenarios, workload, engine-policy) key is a store hit that
+(target, scenarios, workload, collapse-policy) key is a store hit that
 returns the identical ResultSet **without invoking the simulator** —
 proven here by making the simulation backends explode on the second
-run.
+run.  The engine is not part of the key: every engine is proven
+bit-identical, so a run on one engine serves the others.
 """
 
 import json
@@ -274,21 +275,34 @@ class TestEngineCaching:
         store = ResultStore(tmp_path / "store")
         first = CAMPAIGNS[family](CampaignEngine(store=store))
         assert not first.from_store
-        assert first.store_key is not None
+        assert first.provenance.key is not None
 
         _break_simulators(monkeypatch)
         second = CAMPAIGNS[family](CampaignEngine(store=store))
         assert second.from_store
-        assert second.to_result_set() == first.to_result_set()
+        assert second == first
         assert second.summary() == first.summary()
 
     def test_policy_change_misses(self, tmp_path):
         store = ResultStore(tmp_path)
         run_transient_campaign(CampaignEngine(store=store))
-        run_transient_campaign(CampaignEngine(engine="serial", store=store))
-        # serial run keyed separately (engine is part of the policy)
+        run_transient_campaign(CampaignEngine(collapse=False, store=store))
+        # collapse is part of the policy, so the runs key separately
         assert store.stats.hits == 0
         assert store.stats.puts == 2
+
+    def test_engine_change_hits(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        packed = run_transient_campaign(CampaignEngine(store=store))
+        _break_simulators(monkeypatch)
+        served = run_transient_campaign(
+            CampaignEngine(engine="serial", store=store)
+        )
+        assert served.from_store
+        assert served == packed
+        # the provenance still names the engine that produced the records
+        assert served.provenance.engine == "packed"
+        assert store.stats.puts == 1
 
     def test_workers_and_chunk_do_not_change_the_key(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -332,10 +346,41 @@ class TestEngineCaching:
             [CellStuckAt(5, 1, 1)],
             writer=writer,
         )
-        assert result.store_key is None
+        assert result.provenance.key is None
         assert store.stats.puts == 0
         # provenance is still stamped on uncached runs
         assert result.provenance.campaign == "scheme"
+
+
+class TestFreshVersusHit:
+    """A fresh run and its store hit are one and the same ResultSet:
+    records carry their printable fault identity from the start, so
+    nothing about a result depends on whether the simulator ran."""
+
+    @pytest.mark.parametrize("family", sorted(CAMPAIGNS))
+    def test_hit_equals_fresh_run(self, family, tmp_path):
+        store = ResultStore(tmp_path)
+        fresh = CAMPAIGNS[family](CampaignEngine(store=store))
+        hit = CAMPAIGNS[family](CampaignEngine(store=store))
+        assert not fresh.from_store and hit.from_store
+        assert hit == fresh
+        assert [r.fault for r in hit.records] == [
+            r.fault for r in fresh.records
+        ]
+        assert all(isinstance(r.fault, str) for r in fresh.records)
+
+    @pytest.mark.parametrize("family", sorted(CAMPAIGNS))
+    def test_sharded_run_equals_whole_run(self, family, tmp_path):
+        whole = CAMPAIGNS[family](
+            CampaignEngine(store=ResultStore(tmp_path / "whole"))
+        )
+        sharded = CAMPAIGNS[family](
+            CampaignEngine(
+                workers=2, store=ResultStore(tmp_path / "sharded")
+            )
+        )
+        assert not sharded.from_store
+        assert sharded == whole
 
 
 class TestShardResume:
@@ -361,9 +406,10 @@ class TestShardResume:
         assert result.total == len(self.scenarios())
         # ...but a completed campaign leaves exactly one store entry:
         # the full key supersedes (and prunes) the shard checkpoints
-        assert store.keys(include_shards=True) == [result.store_key]
+        key = result.provenance.key
+        assert store.keys(include_shards=True) == [key]
         assert len(store.entries()) == 1
-        assert store.resolve(result.store_key[:8]) == result.store_key
+        assert store.resolve(key[:8]) == key
 
     def test_interrupted_run_resumes_from_completed_shards(
         self, tmp_path, monkeypatch
@@ -401,8 +447,7 @@ class TestShardResume:
         assert len(resumed_calls) == 3
         assert not resumed.from_store  # re-assembled, not full-key hit
         clean = self.run(ResultStore(tmp_path / "clean"))
-        assert resumed.to_result_set().records == \
-            clean.to_result_set().records
+        assert resumed == clean
 
     def test_partially_resumed_records_have_uniform_identity(
         self, tmp_path, monkeypatch
@@ -568,7 +613,7 @@ class TestResultsCli:
             [TransientScenario.single(31, bit=0, cycle=0)],
             Workload.explicit([0, 1, 2]),
         )
-        return store_root, detected.store_key, silent.store_key
+        return store_root, detected.provenance.key, silent.provenance.key
 
     def run_cli(self, argv):
         from repro.cli import main

@@ -19,14 +19,9 @@ from repro.faultsim.campaign import decoder_campaign, scheme_campaign
 from repro.faultsim.injector import (
     burst_addresses,
     decoder_fault_list,
-    random_addresses,
     sequential_addresses,
 )
-from repro.faultsim.transient import (
-    TransientUpset,
-    scrubbed_stream,
-    transient_campaign,
-)
+from repro.faultsim.transient import TransientUpset
 from repro.memory.faults import (
     CellStuckAt,
     CompositeFault,
@@ -40,7 +35,6 @@ from repro.memory.march import (
     MARCH_X,
     MARCH_Y,
     MATS_PLUS,
-    march_address_stream,
 )
 from repro.memory.organization import MemoryOrganization
 from repro.memory.ram import BehavioralRAM
@@ -81,18 +75,46 @@ def checker35():
 # -- Workload vocabulary -----------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestWorkloadShims:
-    """The pre-1.3 stream helpers are bit-identical views of workloads
-    (and, since 1.4, warn that Workload is the canonical path)."""
+# The pre-1.3 stream helpers, verbatim: workloads must keep replaying
+# the exact traces they produced (the helpers themselves were removed).
 
-    def test_1_2_shims_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="Workload.uniform"):
-            random_addresses(4, 5)
-        with pytest.warns(DeprecationWarning, match="Workload.scrubbed"):
-            scrubbed_stream(8, 10, scrub_period=2)
-        with pytest.warns(DeprecationWarning, match="Workload.march"):
-            march_address_stream(MARCH_C_MINUS, 4)
+
+def random_addresses(n_bits, cycles, seed=0):
+    rng = random.Random(seed)
+    return [rng.randrange(1 << n_bits) for _ in range(cycles)]
+
+
+def scrubbed_stream(words, cycles, scrub_period, seed=0):
+    rng = random.Random(seed)
+    stream = []
+    scrub_ptr = 0
+    for cycle in range(cycles):
+        if scrub_period > 0 and cycle % scrub_period == 0:
+            stream.append(scrub_ptr % words)
+            scrub_ptr += 1
+        else:
+            stream.append(rng.randrange(words))
+    return stream
+
+
+def march_address_stream(test, words, reads_only=False):
+    stream = []
+    for element in test.elements:
+        ops = [
+            op
+            for op in element.operations
+            if not reads_only or op.startswith("r")
+        ]
+        if not ops:
+            continue
+        for address in element.addresses(words):
+            stream.extend([address] * len(ops))
+    return stream
+
+
+class TestWorkloadShims:
+    """Workloads are bit-identical to the pre-1.3 stream helpers and to
+    the remaining ``repro.faultsim.injector`` shims."""
 
     def test_uniform_matches_random_addresses(self):
         assert (
@@ -589,19 +611,6 @@ class TestTransientEngines:
         )
         assert ram.parity_ok(5)  # the upset's flip was cleaned up
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_legacy_shim_matches_engine(self):
-        upsets = [TransientUpset(5, 2, 3), TransientUpset(9, 0, 30)]
-        stream = scrubbed_stream(32, 200, 4, seed=7)
-        legacy = transient_campaign(make_ram(), upsets, stream)
-        engine_result = CampaignEngine().transient(
-            make_ram(),
-            [TransientScenario(upsets=(u,)) for u in upsets],
-            as_workload(stream),
-        )
-        assert [r.detected_at for r in legacy] == [
-            r.first_detection for r in engine_result.records
-        ]
 
 
 # -- seeded cross-process reproducibility (satellite) ------------------------
@@ -609,7 +618,7 @@ class TestTransientEngines:
 
 class TestSeededReproducibility:
     def test_transient_campaign_reproducible_with_workers(self):
-        """Two runs, same seed, workers=2: identical CampaignResults."""
+        """Two runs, same seed, workers=2: identical ResultSets."""
 
         def run():
             scenarios = [

@@ -7,6 +7,7 @@ scenario of two `ServiceClient`s racing suites against one live
 server."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.service import (
     ServiceError,
     serving,
 )
+from repro.service.handlers import MAX_BODY_BYTES
 
 from test_suite import tiny_suite
 
@@ -116,6 +118,58 @@ class TestOverTheWire:
             with pytest.raises(ServiceError) as err:
                 client.cancel(job["job_id"])
             assert err.value.status == 409
+
+    @staticmethod
+    def raw_post(url, content_length, body=b"", close=False):
+        """POST /suites with a hand-written Content-Length; returns
+        (status, body) of the reply, read until the server closes (on
+        its own unless ``close`` asks for it)."""
+        host, port = url[len("http://"):].split(":")
+        connection = "Connection: close\r\n" if close else ""
+        request = (
+            f"POST /suites HTTP/1.1\r\nHost: {host}\r\n{connection}"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode() + body
+        with socket.create_connection((host, int(port)), timeout=10) as s:
+            s.sendall(request)
+            chunks = []
+            while True:
+                chunk = s.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+        return int(head.split()[1]), payload
+
+    @pytest.mark.parametrize(
+        "content_length, status, message",
+        [
+            ("abc", 400, "must be an integer"),
+            ("-5", 400, "must be >= 0"),
+            ("999999999999", 413, "exceeds"),
+            (str(MAX_BODY_BYTES + 1), 413, "exceeds"),
+        ],
+    )
+    def test_bad_content_length_is_refused_in_one_line(
+        self, service, content_length, status, message
+    ):
+        with serving(service) as url:
+            code, payload = self.raw_post(url, content_length)
+            assert code == status
+            # one line of JSON, no traceback
+            assert payload.count(b"\n") == 1
+            assert message in json.loads(payload)["error"]
+            # the server keeps serving
+            assert ServiceClient(url).health()["status"] == "ok"
+
+    def test_body_at_the_limit_is_read(self, service):
+        body = json.dumps({"suite": "x" * (MAX_BODY_BYTES - 20)}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        with serving(service) as url:
+            code, payload = self.raw_post(url, len(body), body, close=True)
+        # read and parsed: refused as an unknown suite, not as too large
+        assert code == 400
+        assert "exceeds" not in json.loads(payload)["error"]
 
     def test_unreachable_server_raises_status_zero(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
