@@ -145,6 +145,15 @@ class TestHardenedErrorPaths:
         assert code == 1
         assert "'blocks'" in err
 
+    def test_conflicting_packed_serial(self, capsys):
+        # the 1.7 aliases are gone since 2.0: argparse rejects them
+        with pytest.raises(SystemExit) as excinfo:
+            main(["suite", "run", "smoke", "--packed", "--serial"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
+
     def test_missing_store_directory(self, capsys, tmp_path):
         missing = str(tmp_path / "does-not-exist")
         code, _, err = run_cli(
